@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of Saturn's hot paths: label comparison (the
    per-operation metadata cost the paper argues is negligible), Cure-style
-   vector merges (the cost it avoids), tree routing, sink stabilization and
-   the event-queue heap. *)
+   vector merges (the cost it avoids), tree routing, sink stabilization, and
+   the simulator's per-event path: the engine's keyed event queue at the
+   repo benchmark's depths and a link send+fire. *)
 
 open Bechamel
 open Toolkit
@@ -33,7 +34,7 @@ let test_tree_routing =
     (Staged.stage (fun () -> ignore (Saturn.Tree.dcs_behind routing_tree ~from:2 ~via:3)))
 
 let test_heap =
-  Test.make ~name:"event-queue heap push+pop"
+  Test.make ~name:"comparator heap push+pop, 64 deep (baseline pending buffers)"
     (Staged.stage
        (let heap = Sim.Heap.create ~cmp:Int.compare () in
         let i = ref 0 in
@@ -41,6 +42,35 @@ let test_heap =
           incr i;
           Sim.Heap.push heap (!i * 7919 mod 1000);
           if Sim.Heap.size heap > 64 then ignore (Sim.Heap.pop_exn heap)))
+
+(* The engine queue's steady state at a fixed depth (the "hold" model): pop
+   the earliest event and push one a pseudo-random delay after it, keyed by
+   (µs, sequence) as [Sim.Engine] keys it. The depths are the repo
+   benchmark's [engine.pending_peak] on ec2-r90 (~2.5k) and ec2-w50 (~6.5k). *)
+let test_keyed_heap depth =
+  Test.make
+    ~name:(Printf.sprintf "event-queue keyed heap pop+push, %d deep" depth)
+    (Staged.stage
+       (let heap = Sim.Heap.Keyed.create ~capacity:depth ~dummy:ignore () in
+        let seq = ref 0 in
+        let delay () = (!seq * 7919 mod 100_003) + 1 in
+        for _ = 1 to depth do
+          incr seq;
+          Sim.Heap.Keyed.push heap ~k1:(delay ()) ~k2:!seq ignore
+        done;
+        fun () ->
+          let run = Sim.Heap.Keyed.pop_exn heap in
+          incr seq;
+          Sim.Heap.Keyed.push heap ~k1:(Sim.Heap.Keyed.popped_k1 heap + delay ()) ~k2:!seq run))
+
+let test_link =
+  Test.make ~name:"link send+fire (one message, one engine event)"
+    (Staged.stage
+       (let engine = Sim.Engine.create () in
+        let link = Sim.Link.create engine ~latency:(Sim.Time.of_ms 1) () in
+        fun () ->
+          Sim.Link.send link ignore;
+          ignore (Sim.Engine.step engine)))
 
 let test_sink =
   Test.make ~name:"label sink offer+flush"
@@ -58,7 +88,17 @@ let test_sink =
           Saturn.Sink.offer sink (Saturn.Label.update ~ts ~src_dc:0 ~src_gear:0 ~key:!i);
           Saturn.Sink.flush sink))
 
-let tests = [ test_label_compare; test_vector_merge; test_tree_routing; test_heap; test_sink ]
+let tests =
+  [
+    test_label_compare;
+    test_vector_merge;
+    test_tree_routing;
+    test_heap;
+    test_keyed_heap 2_500;
+    test_keyed_heap 6_500;
+    test_link;
+    test_sink;
+  ]
 
 let run () =
   Util.section "Microbenchmarks (Bechamel): Saturn hot paths";

@@ -147,12 +147,15 @@ let pending_min t src =
      applied labels left in the heap *)
   let heap = t.pending_by_src.(src) in
   let rec peek () =
-    match Sim.Heap.Keyed.peek heap with
-    | Some l when Hashtbl.mem t.applied_set l ->
-      ignore (Sim.Heap.Keyed.pop_exn heap);
-      peek ()
-    | Some l -> Some l.Label.ts
-    | None -> None
+    if Sim.Heap.Keyed.is_empty heap then None
+    else begin
+      let l = Sim.Heap.Keyed.top_exn heap in
+      if Hashtbl.mem t.applied_set l then begin
+        ignore (Sim.Heap.Keyed.pop_exn heap);
+        peek ()
+      end
+      else Some l.Label.ts
+    end
   in
   peek ()
 
@@ -392,19 +395,19 @@ let rec try_fallback t =
       if src <> t.dc then begin
         let heap = t.pending_by_src.(src) in
         let rec clean () =
-          match Sim.Heap.Keyed.peek heap with
-          | Some l when Hashtbl.mem t.applied_set l ->
-            ignore (Sim.Heap.Keyed.pop_exn heap);
-            clean ()
-          | Some l -> Some l
-          | None -> None
+          if not (Sim.Heap.Keyed.is_empty heap) then begin
+            let l = Sim.Heap.Keyed.top_exn heap in
+            if Hashtbl.mem t.applied_set l then begin
+              ignore (Sim.Heap.Keyed.pop_exn heap);
+              clean ()
+            end
+            else
+              match !best with
+              | Some b when Label.compare_ts_src b l <= 0 -> ()
+              | Some _ | None -> best := Some l
+          end
         in
-        match clean () with
-        | Some l -> (
-          match !best with
-          | Some b when Label.compare_ts_src b l <= 0 -> ()
-          | Some _ | None -> best := Some l)
-        | None -> ()
+        clean ()
       end
     done;
     match !best with

@@ -12,10 +12,11 @@ let stable_ts t =
   Array.fold_left (fun acc g -> Sim.Time.min acc (Gear.floor g)) Sim.Time.infinity t.gears
 
 let flush t =
-  let stable = stable_ts t in
+  let stable = Sim.Time.to_us (stable_ts t) in
   let rec drain () =
-    match Sim.Heap.Keyed.peek t.buffer with
-    | Some l when Sim.Time.compare l.Label.ts stable <= 0 ->
+    (* k1 is the label's ts in µs ({!Label.key_ts}) *)
+    if (not (Sim.Heap.Keyed.is_empty t.buffer)) && Sim.Heap.Keyed.min_k1 t.buffer <= stable
+    then begin
       let l = Sim.Heap.Keyed.pop_exn t.buffer in
       (* the stability rule guarantees monotone emission *)
       assert (Sim.Time.compare l.Label.ts t.last_emitted_ts >= 0);
@@ -29,7 +30,7 @@ let flush t =
       end;
       t.emit l;
       drain ()
-    | Some _ | None -> ()
+    end
   in
   drain ()
 

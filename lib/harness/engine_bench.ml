@@ -15,10 +15,13 @@ type tier_result = {
 }
 
 (* words allocated so far, minor + major net of promotions (promoted words
-   would otherwise be counted twice) *)
+   would otherwise be counted twice). The minor part comes from
+   [Gc.minor_words], which counts up to the current allocation pointer:
+   in native code [Gc.quick_stat]'s [minor_words] only advances at minor
+   collections, so differences of it move in whole minor heaps. *)
 let words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 let n_dcs = 3
 let per_dc = 16

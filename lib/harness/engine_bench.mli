@@ -34,6 +34,11 @@ type tier_result = {
   sim_ms : float;
 }
 
+val words : unit -> float
+(** Words allocated by this domain so far: minor plus major, net of
+    promotions. Exact to the word at any point, so a difference of two
+    readings is the allocation between them. *)
+
 val run_tier :
   ?now_s:(unit -> float) -> ?stream_ops:int -> seed:int -> Workload.Scale.tier -> tier_result
 (** One tier. [now_s] defaults to a constant clock (wall fields read 0);

@@ -1,8 +1,8 @@
 (** Array-based binary min-heap, polymorphic in the element type.
 
-    The ordering function is supplied at creation time. Used by the event
-    queue and by the statistics modules; kept generic so it can be
-    property-tested in isolation. *)
+    The ordering function is supplied at creation time. Used by the
+    GentleRain, Eunomia and Okapi pending buffers, whose keys can tie; the
+    engine's event queue and Saturn's label buffers use {!Keyed}. *)
 
 type 'a t
 
@@ -31,8 +31,13 @@ val to_list : 'a t -> 'a list
 (** Min-heap keyed by a pair of unboxed integers, compared lexicographically
     [(k1, k2)]. Keys are stored in parallel [int array]s so the per-event hot
     path (engine queue, sink/proxy label buffers) touches flat arrays instead
-    of chasing per-entry records through a comparison closure. Pushing and
-    popping never allocate (beyond amortised array doubling). *)
+    of chasing per-entry records through a comparison closure. The tree is
+    4-ary with hole-based sifting. [push], [top_exn] and [pop_exn] never
+    allocate (beyond amortised array doubling).
+
+    Entries with equal keys pop in an unspecified order: every user keys
+    its entries uniquely (the engine by (µs, scheduling sequence), the
+    sink and proxy buffers by one (ts, source) per label). *)
 module Keyed : sig
   type 'a t
 
@@ -44,23 +49,22 @@ module Keyed : sig
 
   val push : 'a t -> k1:int -> k2:int -> 'a -> unit
 
-  val peek : 'a t -> 'a option
-  (** Payload of the smallest key without removing it. *)
+  val top_exn : 'a t -> 'a
+  (** Payload of the smallest key without removing it.
+      @raise Invalid_argument on an empty heap. *)
 
   val min_k1 : 'a t -> int
   (** Primary key of the smallest entry. @raise Invalid_argument if empty. *)
 
-  val pop : 'a t -> 'a option
-  (** Removes and returns the payload of the smallest key. The popped entry's
-      keys are readable via {!popped_k1}/{!popped_k2} until the next [pop]. *)
-
   val pop_exn : 'a t -> 'a
-  (** @raise Invalid_argument on an empty heap. *)
+  (** Removes and returns the payload of the smallest key. The popped
+      entry's keys are readable via {!popped_k1}/{!popped_k2} until the next
+      [pop_exn]. @raise Invalid_argument on an empty heap. *)
 
   val popped_k1 : 'a t -> int
   val popped_k2 : 'a t -> int
   (** Keys of the most recently popped entry. Unspecified before the first
-      successful [pop]. *)
+      successful [pop_exn]. *)
 
   val clear : 'a t -> unit
 end

@@ -27,10 +27,13 @@ val create :
 
 val send : t -> ?size_bytes:int -> (unit -> unit) -> unit
 (** Schedules [deliver] on the receiving side after the link delay.
-    [size_bytes] defaults to 0 (metadata-sized message). Messages that
-    share an arrival instant are delivered by a single engine event
-    (batched), in send order; cut/epoch checks still happen per message at
-    delivery time, so batching is invisible to fault semantics. *)
+    [size_bytes] defaults to 0 (metadata-sized message). Consecutive
+    messages that share an arrival instant and a cut epoch form one group,
+    delivered by a single engine event in send order; a message sent from
+    inside a delivery at that instant starts a new group. Messages wait in
+    a per-link ring, so a send allocates nothing beyond amortised ring
+    growth. Cut/epoch checks still happen per message at delivery time, so
+    grouping is invisible to fault semantics. *)
 
 val set_latency : t -> Time.t -> unit
 (** Changes the base latency for subsequent messages (used by the

@@ -6,9 +6,7 @@ let qtest = QCheck_alcotest.to_alcotest
 module Scale = Workload.Scale
 module EB = Harness.Engine_bench
 
-let words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+let words = Harness.Engine_bench.words
 
 (* ---- generator ------------------------------------------------------------ *)
 
@@ -119,6 +117,21 @@ let test_replicas_consistent () =
 
 (* ---- the bench-check gate -------------------------------------------------- *)
 
+(* The gate's words are exact: 10,000 cons cells (3 words each) between two
+   readings must read as 30,000 words, not as 0 or a whole minor heap. The
+   slack covers the readings' own boxed floats and stat record. *)
+let test_words_exact () =
+  let cells = ref [] in
+  let w0 = words () in
+  for i = 1 to 10_000 do
+    cells := i :: !cells
+  done;
+  let w1 = words () in
+  ignore (Sys.opaque_identity !cells);
+  let delta = w1 -. w0 in
+  if delta < 30_000. || delta > 30_200. then
+    Alcotest.failf "allocated 30000 words, words () moved by %.0f" delta
+
 (* a miniature saturn-bench-engine/1 document; [det] and [wall] splice in *)
 let doc ?(schema = "saturn-bench-engine/1") ?(seed = 42) ~det ~wall () =
   Printf.sprintf "{\"schema\":%S,\"seed\":%d,\"tiers\":[{\"tier\":\"61k\",\"users\":61096,\"det\":{%s},\"wall\":{%s}}]}"
@@ -208,6 +221,7 @@ let suite =
     qtest prop_stream_constant_alloc;
     Alcotest.test_case "op stream well-formedness" `Quick test_ops_well_formed;
     Alcotest.test_case "replica sets are master+next" `Quick test_replicas_consistent;
+    Alcotest.test_case "gate: words count each allocation" `Quick test_words_exact;
     Alcotest.test_case "gate: identical runs pass" `Quick test_gate_identical;
     Alcotest.test_case "gate: injected regression fails" `Quick test_gate_regression_fails;
     Alcotest.test_case "gate: small drift within tolerance" `Quick test_gate_within_tolerance;
