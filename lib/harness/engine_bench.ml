@@ -18,10 +18,12 @@ type tier_result = {
    would otherwise be counted twice). The minor part comes from
    [Gc.minor_words], which counts up to the current allocation pointer:
    in native code [Gc.quick_stat]'s [minor_words] only advances at minor
-   collections, so differences of it move in whole minor heaps. *)
+   collections, so differences of it move in whole minor heaps. Its
+   [major_words] and [promoted_words] lag the same way, and miss direct
+   major allocations outright; [Gc.counters] reads all three exactly. *)
 let words () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let n_dcs = 3
 let per_dc = 16

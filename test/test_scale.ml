@@ -117,20 +117,28 @@ let test_replicas_consistent () =
 
 (* ---- the bench-check gate -------------------------------------------------- *)
 
-(* The gate's words are exact: 10,000 cons cells (3 words each) between two
-   readings must read as 30,000 words, not as 0 or a whole minor heap. The
-   slack covers the readings' own boxed floats and stat record. *)
+(* The gate's words are exact: 30,000 words allocated between two readings
+   must read as 30,000 words, not as 0 or a whole minor heap — both as
+   10,000 cons cells (3 words each) in the minor heap and as ten 3,000-word
+   arrays, which skip the minor heap and go straight to the major one. The
+   slack covers the readings' own boxed floats and tuple. *)
 let test_words_exact () =
-  let cells = ref [] in
-  let w0 = words () in
-  for i = 1 to 10_000 do
-    cells := i :: !cells
-  done;
-  let w1 = words () in
-  ignore (Sys.opaque_identity !cells);
-  let delta = w1 -. w0 in
-  if delta < 30_000. || delta > 30_200. then
-    Alcotest.failf "allocated 30000 words, words () moved by %.0f" delta
+  let check what alloc =
+    let w0 = words () in
+    let kept = alloc () in
+    let w1 = words () in
+    ignore (Sys.opaque_identity kept);
+    let delta = w1 -. w0 in
+    if delta < 30_000. || delta > 30_200. then
+      Alcotest.failf "%s: allocated 30000 words, words () moved by %.0f" what delta
+  in
+  check "minor" (fun () ->
+      let cells = ref [] in
+      for i = 1 to 10_000 do
+        cells := i :: !cells
+      done;
+      !cells);
+  check "direct major" (fun () -> List.init 10 (fun _ -> Array.make 2999 0))
 
 (* a miniature saturn-bench-engine/1 document; [det] and [wall] splice in *)
 let doc ?(schema = "saturn-bench-engine/1") ?(seed = 42) ~det ~wall () =
