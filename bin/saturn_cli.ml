@@ -218,16 +218,7 @@ let trace_replay path n_dcs sys =
   let metrics = Harness.Metrics.create engine ~topo:Sim.Ec2.topology ~dc_sites in
   Harness.Metrics.set_window metrics ~start_at:Sim.Time.zero ~end_at:Sim.Time.infinity;
   let spec = Harness.Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites ~rmap in
-  let api =
-    match sys with
-    | Harness.Scenario.Saturn_sys -> fst (Harness.Build.saturn engine spec metrics)
-    | Harness.Scenario.Saturn_peer -> fst (Harness.Build.saturn_peer engine spec metrics)
-    | Harness.Scenario.Eventual -> Harness.Build.eventual engine spec metrics
-    | Harness.Scenario.Gentlerain -> Harness.Build.gentlerain engine spec metrics
-    | Harness.Scenario.Cure -> Harness.Build.cure engine spec metrics
-    | Harness.Scenario.Eunomia -> Harness.Build.eunomia engine spec metrics
-    | Harness.Scenario.Okapi -> Harness.Build.okapi engine spec metrics
-  in
+  let api = Harness.Scenario.build sys engine spec metrics in
   let total = Workload.Trace.remaining trace in
   let clients = List.init (3 * n_dcs) (fun i ->
       Harness.Client.create ~id:i ~home_site:dc_sites.(i mod n_dcs) ~preferred_dc:(i mod n_dcs))

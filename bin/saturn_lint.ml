@@ -82,7 +82,8 @@ let () =
         "FILE layer contract (default ROOT/ci/layers.txt when present)" );
       ( "--uses",
         Arg.String (fun s -> uses := s :: !uses),
-        "DIR reference-only tree whose uses keep exports alive (default: test bench examples)" );
+        "DIR reference-only tree whose uses keep exports alive (default: test bench examples \
+         perfbench)" );
       ( "--waivers-out",
         Arg.String (fun s -> waivers_out := Some s),
         "FILE write the waiver inventory (for ci/regen.sh --lint-baseline)" );
@@ -100,7 +101,9 @@ let () =
   Arg.parse spec (fun d -> dirs := d :: !dirs) usage;
   (match !explain_rule with Some rule -> explain ~root:!root rule | None -> ());
   let dirs = match List.rev !dirs with [] -> [ "lib"; "bin" ] | ds -> ds in
-  let use_dirs = match List.rev !uses with [] -> [ "test"; "bench"; "examples" ] | ds -> ds in
+  let use_dirs =
+    match List.rev !uses with [] -> [ "test"; "bench"; "examples"; "perfbench" ] | ds -> ds
+  in
   (* exclude scanned dirs double-listed as use dirs *)
   let use_dirs = List.filter (fun d -> not (List.mem d dirs)) use_dirs in
   let default_under name = function

@@ -13,6 +13,23 @@ type hooks = {
     dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
 }
 
+module type OPS = sig
+  type t
+
+  val attach : t -> client:int -> home:Sim.Topology.site -> dc:int -> k:(unit -> unit) -> unit
+
+  val read :
+    t -> client:int -> home:Sim.Topology.site -> dc:int -> key:int ->
+    k:(Kvstore.Value.t option -> unit) -> unit
+
+  val update :
+    t -> client:int -> home:Sim.Topology.site -> dc:int -> key:int -> value:Kvstore.Value.t ->
+    k:(unit -> unit) -> unit
+
+  val stop : t -> unit
+  val store_value : t -> dc:int -> key:int -> Kvstore.Value.t option
+end
+
 type dc_state = {
   servers : Sim.Server.t array;
   frontends : Sim.Server.t array;

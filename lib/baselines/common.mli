@@ -22,6 +22,30 @@ type hooks = {
     dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit;
 }
 
+(** The client-operation surface every baseline protocol exposes; the
+    harness wraps any module of this type into an [Api.t]. Each operation
+    takes the calling client's id and home site, and the datacenter it is
+    attached to. *)
+module type OPS = sig
+  type t
+
+  val attach : t -> client:int -> home:Sim.Topology.site -> dc:int -> k:(unit -> unit) -> unit
+  (** Attach (with the protocol's stabilization wait) to [dc]. *)
+
+  val read :
+    t -> client:int -> home:Sim.Topology.site -> dc:int -> key:int ->
+    k:(Kvstore.Value.t option -> unit) -> unit
+
+  val update :
+    t -> client:int -> home:Sim.Topology.site -> dc:int -> key:int -> value:Kvstore.Value.t ->
+    k:(unit -> unit) -> unit
+
+  val stop : t -> unit
+
+  val store_value : t -> dc:int -> key:int -> Kvstore.Value.t option
+  (** The version visible at [dc], for tests and diagnostics. *)
+end
+
 type t
 
 val create : ?series:Stats.Series.t -> Sim.Engine.t -> params -> t

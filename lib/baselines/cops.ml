@@ -24,13 +24,13 @@ type t = {
   (* client context: explicit dependency set, one version per key *)
   contexts : (int, (int, version) Hashtbl.t) Hashtbl.t;
   apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
+  meta_bytes : Stats.Meta_bytes.t;
   mutable deps_shipped : int;
   mutable updates_shipped : int;
   mutable max_deps : int;
 }
 
-let create ?series ?meta engine p hooks ~prune_on_write =
+let create ?series ~meta engine p hooks ~prune_on_write =
   let geo = Common.create ?series engine p in
   let dcs =
     Array.init (Common.n_dcs geo) (fun _ ->
@@ -177,9 +177,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             apply_remote t ~dc:dst { key; value; version; deps; origin_time }))
                   end)
                 (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:(16 * n_deps) ~fanout:!fanout
-              | None -> ());
+              Stats.Meta_bytes.record_op t.meta_bytes ~bytes:(16 * n_deps) ~fanout:!fanout;
               (* transitivity-based pruning: sound only under full
                  replication *)
               if t.prune_on_write then Hashtbl.reset ctx;

@@ -27,7 +27,7 @@ type t = {
   dcs : dc_state array;
   client_dv : (int, Sim.Time.t array) Hashtbl.t;
   apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
+  meta_bytes : Stats.Meta_bytes.t;
 }
 
 let vector_wire_bytes n = (8 * n) + 4
@@ -43,7 +43,7 @@ let probe_vec t ~dc ~src ts =
       ~at:(Sim.Engine.now (Common.engine t.geo))
       (Sim.Probe.Vec_advance { dc; src; ts = Sim.Time.to_us ts })
 
-let rec create ?series ?meta engine p hooks =
+let rec create ?series ~meta engine p hooks =
   let geo = Common.create ?series engine p in
   let n = Common.n_dcs geo in
   let dcs =
@@ -77,9 +77,7 @@ let rec create ?series ?meta engine p hooks =
         let floor = Common.dc_floor geo ~dc in
         for dst = 0 to n - 1 do
           if dst <> dc then begin
-            (match t.meta_bytes with
-            | Some m -> Stats.Meta_bytes.record_heartbeat m ~bytes:(vector_wire_bytes n)
-            | None -> ());
+            Stats.Meta_bytes.record_heartbeat t.meta_bytes ~bytes:(vector_wire_bytes n);
             Common.ship geo ~src:dc ~dst ~size_bytes:(vector_wire_bytes n) (fun () ->
                 let d = t.dcs.(dst) in
                 if Sim.Time.compare floor d.vv.(dc) > 0 then begin
@@ -246,9 +244,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             dd.pending <- { key; value; meta; origin_time } :: dd.pending))
                   end)
                 (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:(vector_wire_bytes n) ~fanout:!fanout
-              | None -> ());
+              Stats.Meta_bytes.record_op t.meta_bytes ~bytes:(vector_wire_bytes n) ~fanout:!fanout;
               reply meta)))
     ~k:(fun meta ->
       merge_dv (client_dv t client) meta.vc;

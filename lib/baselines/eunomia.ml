@@ -27,7 +27,7 @@ type t = {
   dcs : dc_state array;
   client_dt : (int, Sim.Time.t) Hashtbl.t; (* client dependency time *)
   apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
+  meta_bytes : Stats.Meta_bytes.t;
 }
 
 let meta_wire_bytes = 12 (* ts (8) + origin (4): one scalar, as in GentleRain *)
@@ -99,9 +99,7 @@ let announce t dc =
   let stable = d.announced in
   for dst = 0 to n - 1 do
     if dst <> dc then begin
-      (match t.meta_bytes with
-      | Some m -> Stats.Meta_bytes.record_stabilization m ~bytes:announce_wire_bytes
-      | None -> ());
+      Stats.Meta_bytes.record_stabilization t.meta_bytes ~bytes:announce_wire_bytes;
       Common.ship geo ~src:dc ~dst ~size_bytes:announce_wire_bytes (fun () ->
           let dd = t.dcs.(dst) in
           if Sim.Time.compare stable dd.stable.(dc) > 0 then begin
@@ -112,7 +110,7 @@ let announce t dc =
     end
   done
 
-let create ?series ?meta engine p hooks =
+let create ?series ~meta engine p hooks =
   let geo = Common.create ?series engine p in
   let n = Common.n_dcs geo in
   let dcs =
@@ -261,9 +259,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             advance t dst))
                   end)
                 (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:meta_wire_bytes ~fanout:!fanout
-              | None -> ());
+              Stats.Meta_bytes.record_op t.meta_bytes ~bytes:meta_wire_bytes ~fanout:!fanout;
               reply ts)))
     ~k:(fun ts ->
       bump_dt t client ts;

@@ -8,10 +8,10 @@ type t = {
   hooks : Common.hooks;
   stores : (meta, int) Kvstore.Store.t array array; (* [dc].[partition] *)
   apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
+  meta_bytes : Stats.Meta_bytes.t;
 }
 
-let create ?series ?meta engine p hooks =
+let create ?series ~meta engine p hooks =
   let geo = Common.create ?series engine p in
   let stores =
     Array.init (Common.n_dcs geo) (fun _ ->
@@ -93,9 +93,7 @@ let update t ~client:_ ~home ~dc ~key ~value ~k =
                         apply_remote t ~dc:dst ~key ~value ~meta ~origin_time)
                   end)
                 (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:0 ~fanout:!fanout
-              | None -> ());
+              Stats.Meta_bytes.record_op t.meta_bytes ~bytes:0 ~fanout:!fanout;
               reply ())))
     ~k
 

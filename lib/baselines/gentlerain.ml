@@ -24,7 +24,7 @@ type t = {
   dcs : dc_state array;
   client_dt : (int, Sim.Time.t) Hashtbl.t; (* client dependency time *)
   apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
+  meta_bytes : Stats.Meta_bytes.t;
 }
 
 let meta_wire_bytes = 12 (* ts (8) + origin (4): one scalar, as in the paper *)
@@ -35,7 +35,7 @@ let probe_vec t ~dc ~src ts =
       ~at:(Sim.Engine.now (Common.engine t.geo))
       (Sim.Probe.Vec_advance { dc; src; ts = Sim.Time.to_us ts })
 
-let rec create ?series ?meta engine p hooks =
+let rec create ?series ~meta engine p hooks =
   let geo = Common.create ?series engine p in
   let n = Common.n_dcs geo in
   let dcs =
@@ -71,9 +71,7 @@ let rec create ?series ?meta engine p hooks =
         let floor = Common.dc_floor geo ~dc in
         for dst = 0 to n - 1 do
           if dst <> dc then begin
-            (match t.meta_bytes with
-            | Some m -> Stats.Meta_bytes.record_heartbeat m ~bytes:meta_wire_bytes
-            | None -> ());
+            Stats.Meta_bytes.record_heartbeat t.meta_bytes ~bytes:meta_wire_bytes;
             Common.ship geo ~src:dc ~dst ~size_bytes:meta_wire_bytes (fun () ->
                 let d = t.dcs.(dst) in
                 if Sim.Time.compare floor d.vv.(dc) > 0 then begin
@@ -225,9 +223,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             Sim.Heap.push dd.pending { key; value; meta; origin_time }))
                   end)
                 (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:meta_wire_bytes ~fanout:!fanout
-              | None -> ());
+              Stats.Meta_bytes.record_op t.meta_bytes ~bytes:meta_wire_bytes ~fanout:!fanout;
               reply ts)))
     ~k:(fun ts ->
       bump_dt t client ts;

@@ -24,7 +24,7 @@ type t = {
   dcs : dc_state array;
   client_dt : (int, Sim.Time.t) Hashtbl.t; (* client dependency time *)
   apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
+  meta_bytes : Stats.Meta_bytes.t;
 }
 
 (* hybrid timestamp (physical 8 + logical 4) + origin (4) + dependency
@@ -96,7 +96,7 @@ let merge_row t ~dst ~src row =
   end;
   advance t dst
 
-let rec create ?series ?meta engine p hooks =
+let rec create ?series ~meta engine p hooks =
   let geo = Common.create ?series engine p in
   let n = Common.n_dcs geo in
   let dcs =
@@ -153,9 +153,7 @@ and finish_stab_round t dc =
   let row = Array.copy d.known.(dc) in
   for dst = 0 to n - 1 do
     if dst <> dc then begin
-      (match t.meta_bytes with
-      | Some m -> Stats.Meta_bytes.record_stabilization m ~bytes:(row_wire_bytes n)
-      | None -> ());
+      Stats.Meta_bytes.record_stabilization t.meta_bytes ~bytes:(row_wire_bytes n);
       Common.ship geo ~src:dc ~dst ~size_bytes:(row_wire_bytes n) (fun () ->
           merge_row t ~dst ~src:dc row)
     end
@@ -247,9 +245,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             advance t dst))
                   end)
                 (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:meta_wire_bytes ~fanout:!fanout
-              | None -> ());
+              Stats.Meta_bytes.record_op t.meta_bytes ~bytes:meta_wire_bytes ~fanout:!fanout;
               reply ts)))
     ~k:(fun ts ->
       bump_dt t client ts;

@@ -33,12 +33,12 @@ type t = {
   seq : int array array; (* [dc].[partition] -> updates issued *)
   contexts : (int, int Dm.t) Hashtbl.t; (* client -> dependency matrix *)
   apply_series : Stats.Series.counter option array; (* per dc *)
-  meta_bytes : Stats.Meta_bytes.t option;
+  meta_bytes : Stats.Meta_bytes.t;
   mutable entries_shipped : int;
   mutable updates_shipped : int;
 }
 
-let create ?series ?meta engine p hooks =
+let create ?series ~meta engine p hooks =
   let geo = Common.create ?series engine p in
   let n = Common.n_dcs geo in
   let dcs =
@@ -201,9 +201,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                               { key; value; meta; dm; src_part = part; seq; origin_time }))
                   end)
                 (Kvstore.Replica_map.replicas (rmap t) ~key);
-              (match t.meta_bytes with
-              | Some m -> Stats.Meta_bytes.record_op m ~bytes:causal_bytes ~fanout:!fanout
-              | None -> ());
+              Stats.Meta_bytes.record_op t.meta_bytes ~bytes:causal_bytes ~fanout:!fanout;
               (* transitivity: the new version subsumes the whole context *)
               Hashtbl.replace t.contexts client (Dm.singleton (dc, part) seq);
               reply ())))

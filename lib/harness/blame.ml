@@ -380,18 +380,8 @@ let gap_csv r =
     r.blamed;
   Buffer.contents buf
 
-(* FNV-1a 64-bit over the per-journey CSV, matching the probe/series digest
-   convention: a single blame number moving flips the digest *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let digest r =
-  let s = gap_csv r in
-  let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+(* over the per-journey CSV: a single blame number moving flips the digest *)
+let digest r = Sim.Fnv.(to_hex (string offset (gap_csv r)))
 
 let render ?(top = 5) r =
   let buf = Buffer.create 4096 in

@@ -166,180 +166,74 @@ let baseline_params spec =
     bulk_factor = spec.bulk_factor;
   }
 
-let baseline_hooks metrics =
-  {
-    Baselines.Common.on_visible =
-      (fun ~dc ~key ~origin_dc ~origin_time ~value ->
-        Metrics.on_visible metrics ~dc ~key ~origin_dc ~origin_time ~value);
-  }
+(* Metadata bytes are always accounted, into the caller's registry or a
+   fresh one, as {!Saturn.System.create} does. [create] is the baseline's
+   own [create], applied to everything the builders share. *)
+let create_baseline ?registry ?series create ~name engine spec metrics =
+  let registry = match registry with Some r -> r | None -> Stats.Registry.create () in
+  create ?series
+    ~meta:(Stats.Meta_bytes.create registry ~system:name)
+    engine (baseline_params spec)
+    {
+      Baselines.Common.on_visible =
+        (fun ~dc ~key ~origin_dc ~origin_time ~value ->
+          Metrics.on_visible metrics ~dc ~key ~origin_dc ~origin_time ~value);
+    }
 
-let meta_of ?registry system =
-  Option.map (fun r -> Stats.Meta_bytes.create r ~system) registry
+(* The one client wiring every baseline shares: operations run at the
+   client's current datacenter, and a migration is a plain attach. *)
+let baseline_api (type s) (module B : Baselines.Common.OPS with type t = s) ~name (sys : s) =
+  let attach c ~dc ~k =
+    B.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
+        c.Client.current_dc <- dc;
+        k ())
+  in
+  {
+    Api.name;
+    attach;
+    read =
+      (fun c ~key ~k ->
+        B.read sys ~client:c.Client.id ~home:c.Client.home_site ~dc:c.Client.current_dc ~key ~k);
+    update =
+      (fun c ~key ~value ~k ->
+        B.update sys ~client:c.Client.id ~home:c.Client.home_site ~dc:c.Client.current_dc ~key
+          ~value ~k);
+    migrate = (fun c ~dest_dc ~k -> attach c ~dc:dest_dc ~k);
+    stop = (fun () -> B.stop sys);
+    store_value = B.store_value sys;
+  }
 
 let eventual ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry "eventual" in
-  let sys =
-    Baselines.Eventual.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
+  let name = "eventual" in
+  let sys = create_baseline ?registry ?series Baselines.Eventual.create ~name engine spec metrics in
   Option.iter (fun f -> Faults.Registry.bind_fabric f (Baselines.Eventual.fabric sys)) faults;
-  {
-    Api.name = "eventual";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Eventual.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Eventual.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Eventual.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Eventual.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Eventual.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Eventual.store_value sys ~dc ~key);
-  }
+  baseline_api (module Baselines.Eventual) ~name sys
 
 let gentlerain ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry "gentlerain" in
-  let sys =
-    Baselines.Gentlerain.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
-  {
-    Api.name = "gentlerain";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Gentlerain.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Gentlerain.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Gentlerain.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Gentlerain.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Gentlerain.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Gentlerain.store_value sys ~dc ~key);
-  }
+  let name = "gentlerain" in
+  let sys = create_baseline ?registry ?series Baselines.Gentlerain.create ~name engine spec metrics in
+  baseline_api (module Baselines.Gentlerain) ~name sys
 
 let cure ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry "cure" in
-  let sys =
-    Baselines.Cure.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
-  {
-    Api.name = "cure";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Cure.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Cure.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Cure.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Cure.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Cure.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Cure.store_value sys ~dc ~key);
-  }
+  let name = "cure" in
+  let sys = create_baseline ?registry ?series Baselines.Cure.create ~name engine spec metrics in
+  baseline_api (module Baselines.Cure) ~name sys
 
 let cops ?registry ?series engine spec metrics ~prune_on_write =
-  let meta = meta_of ?registry "cops" in
+  let name = "cops" in
   let sys =
-    Baselines.Cops.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-      ~prune_on_write
+    create_baseline ?registry ?series Baselines.Cops.create ~name engine spec metrics ~prune_on_write
   in
-  let api =
-    {
-      Api.name = "cops";
-      attach =
-        (fun c ~dc ~k ->
-          Baselines.Cops.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-              c.Client.current_dc <- dc;
-              k ()));
-      read =
-        (fun c ~key ~k ->
-          Baselines.Cops.read sys ~client:c.Client.id ~home:c.Client.home_site
-            ~dc:c.Client.current_dc ~key ~k);
-      update =
-        (fun c ~key ~value ~k ->
-          Baselines.Cops.update sys ~client:c.Client.id ~home:c.Client.home_site
-            ~dc:c.Client.current_dc ~key ~value ~k);
-      migrate =
-        (fun c ~dest_dc ~k ->
-          Baselines.Cops.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-            ~k:(fun () ->
-              c.Client.current_dc <- dest_dc;
-              k ()));
-      stop = (fun () -> Baselines.Cops.stop sys);
-      store_value = (fun ~dc ~key -> Baselines.Cops.store_value sys ~dc ~key);
-    }
-  in
-  (api, sys)
+  (baseline_api (module Baselines.Cops) ~name sys, sys)
 
 let orbe ?registry ?series engine spec metrics =
-  let meta = meta_of ?registry "orbe" in
-  let sys =
-    Baselines.Orbe.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
-  let api =
-    {
-      Api.name = "orbe";
-      attach =
-        (fun c ~dc ~k ->
-          Baselines.Orbe.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-              c.Client.current_dc <- dc;
-              k ()));
-      read =
-        (fun c ~key ~k ->
-          Baselines.Orbe.read sys ~client:c.Client.id ~home:c.Client.home_site
-            ~dc:c.Client.current_dc ~key ~k);
-      update =
-        (fun c ~key ~value ~k ->
-          Baselines.Orbe.update sys ~client:c.Client.id ~home:c.Client.home_site
-            ~dc:c.Client.current_dc ~key ~value ~k);
-      migrate =
-        (fun c ~dest_dc ~k ->
-          Baselines.Orbe.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-            ~k:(fun () ->
-              c.Client.current_dc <- dest_dc;
-              k ()));
-      stop = (fun () -> Baselines.Orbe.stop sys);
-      store_value = (fun ~dc ~key -> Baselines.Orbe.store_value sys ~dc ~key);
-    }
-  in
-  (api, sys)
+  let name = "orbe" in
+  let sys = create_baseline ?registry ?series Baselines.Orbe.create ~name engine spec metrics in
+  (baseline_api (module Baselines.Orbe) ~name sys, sys)
 
 let eunomia ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry "eunomia" in
-  let sys =
-    Baselines.Eunomia.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
+  let name = "eunomia" in
+  let sys = create_baseline ?registry ?series Baselines.Eunomia.create ~name engine spec metrics in
   Option.iter
     (fun f ->
       Faults.Registry.bind_fabric f (Baselines.Eunomia.fabric sys);
@@ -356,59 +250,10 @@ let eunomia ?registry ?series ?faults engine spec metrics =
             ~down:(fun () -> Baselines.Eunomia.sequencer_down sys ~dc))
         spec.dc_sites)
     faults;
-  {
-    Api.name = "eunomia";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Eunomia.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Eunomia.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Eunomia.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Eunomia.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Eunomia.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Eunomia.store_value sys ~dc ~key);
-  }
+  baseline_api (module Baselines.Eunomia) ~name sys
 
 let okapi ?registry ?series ?faults engine spec metrics =
-  let meta = meta_of ?registry "okapi" in
-  let sys =
-    Baselines.Okapi.create ?series ?meta engine (baseline_params spec) (baseline_hooks metrics)
-  in
+  let name = "okapi" in
+  let sys = create_baseline ?registry ?series Baselines.Okapi.create ~name engine spec metrics in
   Option.iter (fun f -> Faults.Registry.bind_fabric f (Baselines.Okapi.fabric sys)) faults;
-  {
-    Api.name = "okapi";
-    attach =
-      (fun c ~dc ~k ->
-        Baselines.Okapi.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc ~k:(fun () ->
-            c.Client.current_dc <- dc;
-            k ()));
-    read =
-      (fun c ~key ~k ->
-        Baselines.Okapi.read sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~k);
-    update =
-      (fun c ~key ~value ~k ->
-        Baselines.Okapi.update sys ~client:c.Client.id ~home:c.Client.home_site
-          ~dc:c.Client.current_dc ~key ~value ~k);
-    migrate =
-      (fun c ~dest_dc ~k ->
-        Baselines.Okapi.attach sys ~client:c.Client.id ~home:c.Client.home_site ~dc:dest_dc
-          ~k:(fun () ->
-            c.Client.current_dc <- dest_dc;
-            k ()));
-    stop = (fun () -> Baselines.Okapi.stop sys);
-    store_value = (fun ~dc ~key -> Baselines.Okapi.store_value sys ~dc ~key);
-  }
+  baseline_api (module Baselines.Okapi) ~name sys

@@ -72,9 +72,11 @@ val eventual :
   Metrics.t ->
   Api.t
 (** [faults] receives the baseline's bulk links via
-    {!Faults.Registry.bind_fabric}. For every baseline builder, [registry]
-    enables per-op metadata-byte accounting: the builder registers
-    [meta.bytes.<system>.*] counters via {!Stats.Meta_bytes}. *)
+    {!Faults.Registry.bind_fabric}. Every baseline builder accounts
+    metadata bytes via {!Stats.Meta_bytes}, as {!saturn} does: the
+    [meta.bytes.<system>.*] counters land in [registry], or in a fresh
+    registry when none is given. All seven baselines reach clients through
+    one {!Api.t} wiring over {!Baselines.Common.OPS}. *)
 
 val gentlerain :
   ?registry:Stats.Registry.t -> ?series:Stats.Series.t -> Sim.Engine.t -> spec -> Metrics.t -> Api.t

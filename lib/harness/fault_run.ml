@@ -216,7 +216,7 @@ let run_one ~seed ~scenario ~system ~busiest =
   let gap_series = Stats.Series.hist series "series.gap_ms" in
   let fault_at_us = ref None in
   let heal_at_us = ref None in
-  let ops =
+  let name, ops =
     Sim.Probe.with_probe probe (fun () ->
         let api =
           match system with
@@ -266,8 +266,9 @@ let run_one ~seed ~scenario ~system ~busiest =
                 match !recovery with
                 | Some prev when Sim.Time.compare prev lag >= 0 -> ()
                 | _ -> recovery := Some lag));
-        (run_driver engine api metrics ~seed ~rmap:spec.Build.rmap ~topo:spec.Build.topo)
-          .Driver.ops_completed)
+        ( api.Api.name,
+          (run_driver engine api metrics ~seed ~rmap:spec.Build.rmap ~topo:spec.Build.topo)
+            .Driver.ops_completed ))
   in
   Stats.Series.seal series ~now:(Sim.Engine.now engine);
   let recovery_ms =
@@ -280,12 +281,7 @@ let run_one ~seed ~scenario ~system ~busiest =
   let vis = Metrics.visibility metrics in
   {
     scenario;
-    system =
-      (match system with
-      | `Saturn -> "saturn"
-      | `Eventual -> "eventual"
-      | `Eunomia -> "eunomia"
-      | `Okapi -> "okapi");
+    system = name;
     ops;
     vis_mean_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.mean vis);
     vis_p99_ms = (if Stats.Sample.is_empty vis then 0. else Stats.Sample.percentile vis 99.);

@@ -9,6 +9,16 @@ let system_name = function
   | Eunomia -> "Eunomia"
   | Okapi -> "Okapi"
 
+let build system engine spec metrics =
+  match system with
+  | Saturn_sys -> fst (Build.saturn engine spec metrics)
+  | Saturn_peer -> fst (Build.saturn_peer engine spec metrics)
+  | Eventual -> Build.eventual engine spec metrics
+  | Gentlerain -> Build.gentlerain engine spec metrics
+  | Cure -> Build.cure engine spec metrics
+  | Eunomia -> Build.eunomia engine spec metrics
+  | Okapi -> Build.okapi engine spec metrics
+
 let all_systems = [ Eventual; Saturn_sys; Gentlerain; Eunomia; Okapi; Cure ]
 
 type setup = {
@@ -109,16 +119,7 @@ let run_with ?rmap system setup =
     | None, (Saturn_peer | Eventual | Gentlerain | Cure | Eunomia | Okapi) -> None
   in
   let spec = { spec with Build.saturn_config } in
-  let api =
-    match system with
-    | Saturn_sys -> fst (Build.saturn engine spec metrics)
-    | Saturn_peer -> fst (Build.saturn_peer engine spec metrics)
-    | Eventual -> Build.eventual engine spec metrics
-    | Gentlerain -> Build.gentlerain engine spec metrics
-    | Cure -> Build.cure engine spec metrics
-    | Eunomia -> Build.eunomia engine spec metrics
-    | Okapi -> Build.okapi engine spec metrics
-  in
+  let api = build system engine spec metrics in
   let workload =
     Workload.Synthetic.create
       {
@@ -211,16 +212,7 @@ let run_social system s =
     match system with Saturn_sys -> Some (Build.solve_config spec) | _ -> None
   in
   let spec = { spec with Build.saturn_config } in
-  let api =
-    match system with
-    | Saturn_sys -> fst (Build.saturn engine spec metrics)
-    | Saturn_peer -> fst (Build.saturn_peer engine spec metrics)
-    | Eventual -> Build.eventual engine spec metrics
-    | Gentlerain -> Build.gentlerain engine spec metrics
-    | Cure -> Build.cure engine spec metrics
-    | Eunomia -> Build.eunomia engine spec metrics
-    | Okapi -> Build.okapi engine spec metrics
-  in
+  let api = build system engine spec metrics in
   let ops = Workload.Social_ops.create part ~value_size:s.value_size ~seed:(s.s_seed + 2) in
   (* sample active users per datacenter, keyed by master placement *)
   let by_dc = Array.make 7 [] in

@@ -5,6 +5,10 @@
 type system = Saturn_sys | Saturn_peer | Eventual | Gentlerain | Cure | Eunomia | Okapi
 
 val system_name : system -> string
+val build : system -> Sim.Engine.t -> Build.spec -> Metrics.t -> Api.t
+(** Instantiates [system] through its {!Build} builder, with no caller
+    registry, series or fault registry. *)
+
 val all_systems : system list
 (** Eventual, Saturn, GentleRain, Eunomia, Okapi, Cure — the Figures 5, 7, 8
     lineup extended with the two follow-up protocols. *)

@@ -256,7 +256,9 @@ let mli_vals (toks : Token.t array) =
   let out = ref [] in
   (* stack of (module name, depth inside its sig, sig token index) — the
      frame is pushed at the [module] token, while [X : sig] itself still
-     sits one level shallower, so popping must wait until past the [sig] *)
+     sits one level shallower, so popping must wait until past the [sig].
+     A [module type X = sig] frame has no module name: its vals describe
+     other modules and export nothing. *)
   let stack = ref [] in
   let i = ref 0 in
   while !i < n do
@@ -264,24 +266,29 @@ let mli_vals (toks : Token.t array) =
     (match !stack with
     | (_, d, sig_idx) :: rest when !i > sig_idx && t.depth < d -> stack := rest
     | _ -> ());
-    if t.kind = Token.Ident && t.text = "module" && !i + 1 < n && is_upper_ident toks.(!i + 1) then begin
-      (* [module X : sig] — the sig token opens one depth level *)
-      let name = toks.(!i + 1).text in
+    if t.kind = Token.Ident && t.text = "module" && !i + 2 < n then begin
+      (* [Some (Some X)] opens a module's sig, [Some None] a signature's *)
+      let name =
+        if is_upper_ident toks.(!i + 1) then Some (Some toks.(!i + 1).text)
+        else if toks.(!i + 1).text = "type" && is_upper_ident toks.(!i + 2) then Some None
+        else None
+      in
       let rec find_sig j =
         if j >= n || j > !i + 6 then None
         else if toks.(j).kind = Token.Ident && toks.(j).text = "sig" then Some j
         else find_sig (j + 1)
       in
-      match find_sig (!i + 2) with
-      | Some j -> stack := (name, toks.(j).depth + 1, j) :: !stack
-      | None -> ()
+      match (name, find_sig (!i + 2)) with
+      | Some name, Some j -> stack := (name, toks.(j).depth + 1, j) :: !stack
+      | _ -> ()
     end;
     if
       t.kind = Token.Ident && t.text = "val"
       && !i + 1 < n
       && toks.(!i + 1).kind = Token.Ident
+      && List.for_all (fun (nm, _, _) -> Option.is_some nm) !stack
     then begin
-      let path = String.concat "." (List.rev_map (fun (nm, _, _) -> nm) !stack) in
+      let path = String.concat "." (List.rev (List.filter_map (fun (nm, _, _) -> nm) !stack)) in
       out := (path, toks.(!i + 1).text, toks.(!i + 1).line) :: !out
     end;
     incr i

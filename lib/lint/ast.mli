@@ -46,7 +46,8 @@ val module_aliases : Token.t array -> (string * string) list
 
 val mli_vals : Token.t array -> (string * string * int) list
 (** [val] declarations of an interface as (submodule path or "", name,
-    line), in order. *)
+    line), in order. Vals inside a [module type … = sig … end] declare a
+    signature, not exports, and are left out. *)
 
 val variant_constructors : Token.t array -> type_name:string -> (string * int) list
 (** Constructors of [type <type_name> = C1 | C2 of …], with lines. *)

@@ -753,10 +753,11 @@ let check_dead_exports ~sources ~use_sources =
         with
         | None -> ()
         | Some (_, mli_toks) ->
-          let has_include =
-            Array.exists (fun (t : Token.t) -> t.kind = Token.Ident && t.text = "include") ml_toks
+          (* an [include] on either side exports values neither file names *)
+          let has_include toks =
+            Array.exists (fun (t : Token.t) -> t.kind = Token.Ident && t.text = "include") toks
           in
-          if not has_include then begin
+          if not (has_include ml_toks || has_include mli_toks) then begin
             let exported = List.map (fun (_, n, _) -> n) (Ast.mli_vals mli_toks) in
             List.iter
               (fun (it : Ast.item) ->

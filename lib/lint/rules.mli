@@ -103,8 +103,9 @@ val check_dead_exports :
   use_sources:(string * Token.t array) list ->
   finding list
 (** R9: [sources] are the scanned tree (findings land there);
-    [use_sources] are reference-only trees (tests, benches, examples)
-    whose uses keep an export alive without being scanned themselves. *)
+    [use_sources] are reference-only trees (tests, benches, examples, the
+    repo benchmark) whose uses keep an export alive without being scanned
+    themselves. *)
 
 val matches : pattern:string -> string -> bool
 (** Glob match; [*] spans any substring. Exposed for tests. *)

@@ -161,18 +161,6 @@ let to_json at ev =
   | Span_begin s -> span_json t "begin" s
   | Span_end s -> span_json t "end" s
 
-(* FNV-1a, 64-bit: stable across runs, processes and architectures — the
-   digest doubles as CI's determinism oracle, so no Hashtbl.hash/Marshal *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
 type t = {
   keep : bool;
   mutable items : (Time.t * event) array;
@@ -190,7 +178,7 @@ type t = {
 }
 
 let create ?(keep = true) () =
-  { keep; items = Array.make 1024 (Time.zero, Link_deliver); len = 0; hash = fnv_offset;
+  { keep; items = Array.make 1024 (Time.zero, Link_deliver); len = 0; hash = Fnv.offset;
     counts = Array.make n_kinds 0; open_spans = Hashtbl.create 64;
     span_us = Array.make n_span_kinds 0; span_n = Array.make n_span_kinds 0; span_orphans = 0;
     stream = None }
@@ -201,7 +189,7 @@ let stream_jsonl t oc = t.stream <- Some oc
 
 let record t at ev =
   let line = to_json at ev in
-  t.hash <- fnv_string (fnv_string t.hash line) "\n";
+  t.hash <- Fnv.string (Fnv.string t.hash line) "\n";
   (match t.stream with
   | Some oc ->
     output_string oc line;
@@ -251,7 +239,7 @@ let span_counts t = sorted_nonzero span_name_of_id t.span_n
 let span_orphans t = t.span_orphans
 let open_span_count t = Hashtbl.length t.open_spans
 
-let digest t = Printf.sprintf "%016Lx" t.hash
+let digest t = Fnv.to_hex t.hash
 
 let iter_jsonl t f =
   if not t.keep then invalid_arg "Probe.write_jsonl: probe created with ~keep:false";

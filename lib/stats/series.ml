@@ -300,17 +300,7 @@ let to_json t =
   Buffer.add_string buf "]}\n";
   Buffer.contents buf
 
-(* FNV-1a 64-bit, matching the probe digest convention *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let digest t =
-  let s = to_csv t in
-  let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+let digest t = Sim.Fnv.(to_hex (string offset (to_csv t)))
 
 let spark_chars = " .:-=+*#%@"
 

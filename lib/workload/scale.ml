@@ -36,19 +36,6 @@ type t = {
   edge_hash : int64;
 }
 
-(* FNV-1a over the bytes of each int, little-endian — same family as the
-   probe digest, so test expectations read the same way *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_int h x =
-  let h = ref h in
-  for i = 0 to 7 do
-    let b = (x lsr (i * 8)) land 0xff in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int b)) fnv_prime
-  done;
-  !h
-
 let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed () =
   if n_users < 2 then invalid_arg "Scale.generate: need at least 2 users";
   if mean_degree < 2 then invalid_arg "Scale.generate: mean_degree < 2";
@@ -68,7 +55,7 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
      prefix is a degree-proportional pick *)
   let endpoints = Array.make (2 * max_edges) 0 in
   let deg = Array.make n_users 0 in
-  let hash = ref fnv_offset in
+  let hash = ref Sim.Fnv.offset in
   let n_edges = ref 0 in
   (* per-community endpoint pools back the locality bias; freed before the
      CSR build so peak memory stays ~3 ints per edge endpoint *)
@@ -82,7 +69,7 @@ let generate ~n_users ?(mean_degree = 30) ?(locality = 0.8) ?communities ~seed (
     deg.(v) <- deg.(v) + 1;
     vec_push comm_pool.(community u) u;
     vec_push comm_pool.(community v) v;
-    hash := fnv_int (fnv_int !hash u) v
+    hash := Sim.Fnv.int (Sim.Fnv.int !hash u) v
   in
   for u = 0 to seed_size - 1 do
     for v = u + 1 to seed_size - 1 do
@@ -170,7 +157,7 @@ let friend t rng u =
   let d = degree t u in
   if d = 0 then u else t.adj.(t.offsets.(u) + Sim.Rng.int rng d)
 
-let digest t = Printf.sprintf "%016Lx" t.edge_hash
+let digest t = Sim.Fnv.to_hex t.edge_hash
 
 module Ops = struct
   type graph = t

@@ -587,6 +587,30 @@ let test_r9_hidden_but_used_internally_ok () =
   in
   Alcotest.check slist "internal use of a hidden value is fine" [] (rules_of r)
 
+let test_r9_module_type_vals_not_exports () =
+  let r =
+    run
+      [
+        ("lib/s.mli", "module type OPS = sig\n  type t\n\n  val run : t -> int\nend\n\nval used : int\n");
+        ("lib/s.ml", "module type OPS = sig\n  type t\n\n  val run : t -> int\nend\n\nlet used = 1\n");
+        ("lib/caller.ml", "let y = S.used\n");
+      ]
+  in
+  Alcotest.check slist "a signature's vals are not exports" [] (rules_of r)
+
+let test_r9_mli_include_silences_hidden () =
+  let sources mli =
+    [
+      ("lib/m.mli", mli);
+      ("lib/m.ml", "type t = int\n\nlet run x = x\n");
+      ("lib/caller.ml", "let y = (module M : S.OPS)\n");
+    ]
+  in
+  let r = run (sources "type t = int\n\ninclude S.OPS with type t := t\n") in
+  Alcotest.check slist "values an .mli include exports are not hidden" [] (rules_of r);
+  let r = run (sources "type t = int\n") in
+  Alcotest.(check int) "without the include the value is hidden" 1 (count_rule Lint.Rules.r_dead r)
+
 (* ---- waiver hygiene -------------------------------------------------------- *)
 
 let test_unused_waiver () =
@@ -815,7 +839,7 @@ let test_real_tree_clean () =
   | None -> Alcotest.fail "cannot locate dune-project above the test cwd"
   | Some root ->
     let r =
-      Lint.Engine.run ~use_dirs:[ "test"; "bench"; "examples" ] ~root
+      Lint.Engine.run ~use_dirs:[ "test"; "bench"; "examples"; "perfbench" ] ~root
         ~dirs:[ "lib"; "bin" ] ()
     in
     List.iter
@@ -903,4 +927,8 @@ let suite =
       (test_fixture "protocol-invariant");
     Alcotest.test_case "fixture: dead-export" `Quick (test_fixture "dead-export");
     Alcotest.test_case "real lib/ + bin/ tree is clean" `Quick test_real_tree_clean;
+    Alcotest.test_case "R9 module type vals are not exports" `Quick
+      test_r9_module_type_vals_not_exports;
+    Alcotest.test_case "R9 .mli include silences hidden values" `Quick
+      test_r9_mli_include_silences_hidden;
   ]

@@ -136,111 +136,14 @@ let test_table_deterministic () =
 
 (* ---- Chrome trace-event export --------------------------------------------- *)
 
-(* a minimal JSON reader — just enough to validate the export without
-   adding a JSON dependency *)
-type json = Null | Bool of bool | Num of float | Str of string | Arr of json list | Obj of (string * json) list
+module Json = Harness.Engine_bench.Json
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = Alcotest.failf "bad JSON at byte %d: %s" !pos msg in
-  let peek () = if !pos >= n then fail "eof" else s.[!pos] in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail (Printf.sprintf "expected %c" c);
-    incr pos
-  in
-  let lit word v =
-    String.iter (fun c -> if peek () <> c then fail word; incr pos) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> incr pos; Buffer.contents b
-      | '\\' ->
-        incr pos;
-        (match peek () with
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | c -> Buffer.add_char b c);
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = '}' then (incr pos; Obj [])
-      else
-        let rec members acc =
-          let k = parse_string () in
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> incr pos; members ((k, v) :: acc)
-          | '}' -> incr pos; Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "object"
-        in
-        members []
-    | '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = ']' then (incr pos; Arr [])
-      else
-        let rec items acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> incr pos; items (v :: acc)
-          | ']' -> incr pos; Arr (List.rev (v :: acc))
-          | _ -> fail "array"
-        in
-        items []
-    | '"' -> Str (parse_string ())
-    | 't' -> lit "true" (Bool true)
-    | 'f' -> lit "false" (Bool false)
-    | 'n' -> lit "null" Null
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then fail "value";
-      Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
+let member name v =
+  match Json.member name v with Some v -> v | None -> Alcotest.failf "no %S member" name
 
-let member name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with Some v -> v | None -> Alcotest.failf "no %S member" name)
-  | _ -> Alcotest.failf "not an object looking up %S" name
-
-let to_str = function Str s -> s | _ -> Alcotest.fail "expected string"
-let to_num = function Num f -> f | _ -> Alcotest.fail "expected number"
-let to_arr = function Arr l -> l | _ -> Alcotest.fail "expected array"
+let to_str = function Json.Str s -> s | _ -> Alcotest.fail "expected string"
+let to_num = function Json.Num f -> f | _ -> Alcotest.fail "expected number"
+let to_arr = function Json.Arr l -> l | _ -> Alcotest.fail "expected array"
 
 let is_int f = Float.equal f (Float.round f)
 
@@ -252,7 +155,7 @@ let test_chrome_roundtrip () =
   let raw = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove path;
-  let doc = parse_json raw in
+  let doc = Json.parse raw in
   Alcotest.(check string) "display unit" "ms" (to_str (member "displayTimeUnit" doc));
   let events = to_arr (member "traceEvents" doc) in
   Alcotest.(check bool) "has events" true (List.length events > 0);
