@@ -1,8 +1,10 @@
 (* Bechamel micro-benchmarks of Saturn's hot paths: label comparison (the
    per-operation metadata cost the paper argues is negligible), Cure-style
-   vector merges (the cost it avoids), tree routing, sink stabilization, and
-   the simulator's per-event path: the engine's keyed event queue at the
-   repo benchmark's depths and a link send+fire. *)
+   vector merges (the cost it avoids), tree routing, sink stabilization,
+   the simulator's per-event path (the engine's keyed event queue at the
+   repo benchmark's depths and a link send+fire), and the remote label
+   path: a label through a proxy, a chain commit and a reliable-channel
+   round trip. *)
 
 open Bechamel
 open Toolkit
@@ -30,8 +32,8 @@ let routing_tree =
     ~attach:[| 0; 1; 2; 3; 4; 5; 5 |]
 
 let test_tree_routing =
-  Test.make ~name:"tree routing decision (dcs_behind lookup)"
-    (Staged.stage (fun () -> ignore (Saturn.Tree.dcs_behind routing_tree ~from:2 ~via:3)))
+  Test.make ~name:"tree routing decision (hop_toward lookup)"
+    (Staged.stage (fun () -> ignore (Saturn.Tree.hop_toward routing_tree ~at:2 ~dc:5)))
 
 let test_heap =
   Test.make ~name:"comparator heap push+pop, 64 deep (baseline pending buffers)"
@@ -88,6 +90,71 @@ let test_sink =
           Saturn.Sink.offer sink (Saturn.Label.update ~ts ~src_dc:0 ~src_gear:0 ~key:!i);
           Saturn.Sink.flush sink))
 
+(* One label through a remote proxy whose stream holds 64 entries: the
+   label arrives, then the payload of the label 63 places ahead of it,
+   which stages at once and installs from the head of the stream. Every
+   scan walks the whole 64-entry window. The proxy is rebuilt every 4096
+   labels so its applied-label table stays small. *)
+let test_proxy_label =
+  Test.make ~name:"proxy label+payload+stage+install, 64-entry stream"
+    (Staged.stage
+       (let depth = 64 in
+        let engine = Sim.Engine.create () in
+        let label i = Saturn.Label.update ~ts:(Sim.Time.of_us (i + 1)) ~src_dc:1 ~src_gear:0 ~key:i in
+        let fresh () =
+          let p =
+            Saturn.Proxy.create engine ~dc:0 ~n_dcs:3
+              ~stage_update:(fun _ ~k -> k ())
+              ~install_update:ignore ()
+          in
+          for i = 0 to depth - 2 do
+            Saturn.Proxy.on_label p (label i)
+          done;
+          p
+        in
+        let proxy = ref (fresh ()) and i = ref (depth - 1) in
+        fun () ->
+          if !i >= 4096 then begin
+            proxy := fresh ();
+            i := depth - 1
+          end;
+          let l = label !i and head = label (!i - depth + 1) in
+          Saturn.Proxy.on_label !proxy l;
+          Saturn.Proxy.on_payload !proxy
+            { Saturn.Proxy.label = head; value = Kvstore.Value.make ~payload:0 ~size_bytes:2;
+              origin_time = Sim.Time.zero; epoch = 0 };
+          incr i))
+
+(* A serializer chain of one replica: input, commit, and the external
+   confirm the commit schedules. *)
+let test_chain =
+  Test.make ~name:"chain input+commit+confirm, 1 replica"
+    (Staged.stage
+       (let engine = Sim.Engine.create () in
+        let chain =
+          Saturn.Chain.create engine ~replicas:1 ~intra_latency:(Sim.Time.of_us 300) ~deliver:ignore ()
+        in
+        let i = ref 0 in
+        fun () ->
+          incr i;
+          Saturn.Chain.input chain ~ext_key:(0, !i) !i ~confirm:ignore;
+          ignore (Sim.Engine.step engine)))
+
+(* A reliable FIFO channel: send, deliver, the cumulative ack, and the
+   retransmit timer's check, all through the engine. *)
+let test_fifo =
+  Test.make ~name:"reliable fifo send+deliver+ack"
+    (Staged.stage
+       (let engine = Sim.Engine.create () in
+        let data = Sim.Link.create engine ~latency:(Sim.Time.of_ms 1) () in
+        let ack = Sim.Link.create engine ~latency:(Sim.Time.of_ms 1) () in
+        let recv = Saturn.Reliable_fifo.receiver engine ~deliver:ignore in
+        let sender = Saturn.Reliable_fifo.sender engine ~resend_period:(Sim.Time.of_ms 10) in
+        Saturn.Reliable_fifo.connect sender ~data ~ack recv;
+        fun () ->
+          Saturn.Reliable_fifo.send sender 0;
+          Sim.Engine.run engine))
+
 let tests =
   [
     test_label_compare;
@@ -98,6 +165,9 @@ let tests =
     test_keyed_heap 6_500;
     test_link;
     test_sink;
+    test_proxy_label;
+    test_chain;
+    test_fifo;
   ]
 
 let run () =

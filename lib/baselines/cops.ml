@@ -12,7 +12,7 @@ type pending = {
 }
 
 type dc_state = {
-  stores : (version, int) Kvstore.Store.t array;
+  stores : version Kvstore.Store.t array;
   mutable pending : pending list;
 }
 

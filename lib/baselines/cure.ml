@@ -14,7 +14,7 @@ type pending = {
 }
 
 type dc_state = {
-  stores : (meta, int) Kvstore.Store.t array;
+  stores : meta Kvstore.Store.t array;
   vv : Sim.Time.t array;
   gsv : Sim.Time.t array; (* snapshot taken at stabilization rounds *)
   mutable pending : pending list;

@@ -11,7 +11,7 @@ type pending = {
 }
 
 type dc_state = {
-  stores : (meta, int) Kvstore.Store.t array;
+  stores : meta Kvstore.Store.t array;
   seq : Sim.Server.t; (* the intra-DC sequencer: its own server, not storage *)
   mutable seq_up : bool;
   mutable announced : Sim.Time.t; (* own sequencer's last announced stable ts *)

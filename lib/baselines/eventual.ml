@@ -6,7 +6,7 @@ let compare_meta (ta, da) (tb, db) =
 type t = {
   geo : Common.t;
   hooks : Common.hooks;
-  stores : (meta, int) Kvstore.Store.t array array; (* [dc].[partition] *)
+  stores : meta Kvstore.Store.t array array; (* [dc].[partition] *)
   apply_series : Stats.Series.counter option array; (* per dc *)
   meta_bytes : Stats.Meta_bytes.t;
 }

@@ -11,7 +11,7 @@ type pending = {
 }
 
 type dc_state = {
-  stores : (meta, int) Kvstore.Store.t array;
+  stores : meta Kvstore.Store.t array;
   vv : Sim.Time.t array; (* max ts received from each remote dc *)
   mutable gst : Sim.Time.t;
   pending : pending Sim.Heap.t; (* applied payloads awaiting GST *)

@@ -11,7 +11,7 @@ type pending = {
 }
 
 type dc_state = {
-  stores : (meta, int) Kvstore.Store.t array;
+  stores : meta Kvstore.Store.t array;
   known : Sim.Time.t array array; (* known.(i).(k): what DC i has received from k *)
   mutable ust : Sim.Time.t; (* min over the whole matrix *)
   pending : pending Sim.Heap.t; (* applied payloads awaiting UST *)

@@ -21,7 +21,7 @@ type pending = {
 }
 
 type dc_state = {
-  stores : (meta, int) Kvstore.Store.t array;
+  stores : meta Kvstore.Store.t array;
   applied : int array array; (* [src dc].[partition] -> updates applied locally *)
   mutable pending : pending list;
 }

@@ -4,17 +4,25 @@ type t = {
   tree : Tree.t;
   placement : Sim.Topology.site array;
   dc_sites : Sim.Topology.site array;
-  delays : (int * int, Sim.Time.t) Hashtbl.t; (* (from, encoded hop) -> delta *)
+  delays : Sim.Time.t array array;
+    (* delays.(from).(column hop): serializer hops first, then datacenters *)
 }
 
-let encode = function To_serializer s -> s | To_dc d -> -d - 1
+let column t hop =
+  let n_ser = Array.length t.placement in
+  match hop with
+  | To_serializer s when s >= 0 && s < n_ser -> s
+  | To_dc d when d >= 0 && d < Array.length t.dc_sites -> n_ser + d
+  | To_serializer _ | To_dc _ -> invalid_arg "Config: hop out of range"
 
 let create ~tree ~placement ~dc_sites () =
   if Array.length placement <> Tree.n_serializers tree then
     invalid_arg "Config.create: placement size mismatch";
   if Array.length dc_sites <> Tree.n_dcs tree then
     invalid_arg "Config.create: dc_sites size mismatch";
-  { tree; placement; dc_sites; delays = Hashtbl.create 16 }
+  let columns = Array.length placement + Array.length dc_sites in
+  { tree; placement; dc_sites;
+    delays = Array.init (Array.length placement) (fun _ -> Array.make columns Sim.Time.zero) }
 
 let tree t = t.tree
 let placement t = t.placement
@@ -24,12 +32,9 @@ let site_of_dc t d = t.dc_sites.(d)
 
 let set_delay t ~from ~hop d =
   if Sim.Time.compare d Sim.Time.zero < 0 then invalid_arg "Config.set_delay: negative delay";
-  Hashtbl.replace t.delays (from, encode hop) d
+  t.delays.(from).(column t hop) <- d
 
-let delay t ~from ~hop =
-  match Hashtbl.find_opt t.delays (from, encode hop) with
-  | Some d -> d
-  | None -> Sim.Time.zero
+let delay t ~from ~hop = t.delays.(from).(column t hop)
 
 let hop_site t = function To_serializer s -> t.placement.(s) | To_dc d -> t.dc_sites.(d)
 
@@ -51,13 +56,14 @@ let metadata_latency t topo ~src_dc ~dst_dc =
     in
     hops entry path
 
-let total_delay t = Hashtbl.fold (fun _ d acc -> Sim.Time.add acc d) t.delays Sim.Time.zero
+let total_delay t =
+  Array.fold_left (Array.fold_left Sim.Time.add) Sim.Time.zero t.delays
 
-let clear_delays t = Hashtbl.reset t.delays
+let clear_delays t = Array.iter (fun row -> Array.fill row 0 (Array.length row) Sim.Time.zero) t.delays
 
 let copy t =
   { tree = t.tree; placement = Array.copy t.placement; dc_sites = Array.copy t.dc_sites;
-    delays = Hashtbl.copy t.delays }
+    delays = Array.map Array.copy t.delays }
 
 let pp ppf t =
   Format.fprintf ppf "config(%a; placement:" Tree.pp t.tree;

@@ -24,7 +24,8 @@ val site_of_dc : t -> int -> Sim.Topology.site
 
 val set_delay : t -> from:int -> hop:hop -> Sim.Time.t -> unit
 (** δ added by serializer [from] when forwarding along [hop]. Negative
-    values are rejected. *)
+    values, and hops naming no serializer or datacenter of the tree, are
+    rejected with [Invalid_argument]. *)
 
 val delay : t -> from:int -> hop:hop -> Sim.Time.t
 

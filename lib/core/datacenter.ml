@@ -13,7 +13,7 @@ type t = {
   partitioning : Kvstore.Partitioning.t;
   clock : Sim.Clock.t;
   servers : Sim.Server.t array;
-  stores : (Label.t, int) Kvstore.Store.t array;
+  stores : Label.t Kvstore.Store.t array;
   gears : Gear.t array;
   frontends : Sim.Server.t array;
   mutable next_frontend : int;

@@ -40,7 +40,7 @@ val create :
     for windowed queue-depth / apply-throughput telemetry. *)
 
 val proxy : t -> Proxy.t
-val store_of_key : t -> key:int -> (Label.t, int) Kvstore.Store.t
+val store_of_key : t -> key:int -> Label.t Kvstore.Store.t
 val gear_floor : t -> Sim.Time.t
 (** min over gears — the datacenter's bulk-heartbeat promise. *)
 

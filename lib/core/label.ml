@@ -45,6 +45,19 @@ let key_ts t = Sim.Time.to_us t.ts
 let key_src t = (t.src_dc lsl 20) lor t.src_gear
 
 let equal a b = compare a b = 0
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  (* (ts, src) already tells real labels apart (a gear never reuses a ts),
+     so the target block is not read; buckets take the low bits, so the
+     high ones (src_dc) are folded down *)
+  let hash l =
+    let h = (key_ts l * 31) + key_src l in
+    (h lxor (h lsr 20)) land max_int
+end)
 let is_update t = match t.target with Update _ -> true | Migration _ | Epoch_change _ -> false
 let is_migration t = match t.target with Migration _ -> true | Update _ | Epoch_change _ -> false
 

@@ -1,119 +1,142 @@
+(* A receiver is bound to the one sender that connects to it, so its
+   sequencing state is plain fields rather than tables keyed by sender. *)
 type 'msg receiver = {
-  r_engine : Sim.Engine.t;
-  r_deliver : 'msg receiver -> sender_id:int -> seq:int -> 'msg -> unit;
-  (* per-sender expected sequence and out-of-order buffer *)
-  r_expected : (int, int) Hashtbl.t;
-  r_buffer : (int * int, 'msg) Hashtbl.t; (* (sender, seq) -> msg *)
-  (* deferred mode: next seq to confirm and the latest ack channel *)
-  r_confirmed : (int, int) Hashtbl.t;
-  r_unconfirmed : (int * int, 'msg) Hashtbl.t; (* (sender, seq) delivered, unconfirmed *)
-  r_ack_via : (int, int -> unit) Hashtbl.t;
+  r_deliver : 'msg receiver -> seq:int -> 'msg -> unit;
+  mutable r_sender : int; (* id of the bound sender; -1 until connected *)
+  mutable r_expected : int; (* next seq to deliver *)
+  r_buffer : 'msg Sim.Int_tbl.t; (* out-of-order arrivals (only across cuts) *)
+  (* deferred mode: number confirmed so far and delivered-unconfirmed *)
+  mutable r_confirmed : int;
+  r_unconfirmed : 'msg Sim.Int_tbl.t;
+  mutable r_ack : int -> unit; (* cumulative ack back to the sender *)
   r_deferred : bool;
   mutable r_delivered : int;
 }
-
-type 'msg entry = { seq : int; size : int; msg : 'msg; mutable last_sent : Sim.Time.t }
 
 type 'msg sender = {
   s_engine : Sim.Engine.t;
   s_id : int;
   resend_period : Sim.Time.t;
   mutable next_seq : int;
-  unacked : 'msg entry Queue.t; (* oldest first; seqs strictly increasing *)
+  (* the unacked window, seqs [first, next_seq), oldest first: seqs are
+     dense, so it lives in rings indexed by [seq land (capacity - 1)] *)
+  mutable first : int;
+  mutable msgs : 'msg option array;
+  mutable sizes : int array;
+  mutable last_sent : Sim.Time.t array;
   mutable route : 'msg route option;
   mutable stopped : bool;
   mutable timer_running : bool;
 }
 
-and 'msg route = { data : Sim.Link.t; ack : Sim.Link.t; dest : 'msg receiver }
+and 'msg route = { data : Sim.Link.t; dest : 'msg receiver }
 
-let make_receiver r_engine ~deferred ~deliver =
-  { r_engine; r_deliver = deliver; r_expected = Hashtbl.create 8; r_buffer = Hashtbl.create 8;
-    r_confirmed = Hashtbl.create 8; r_unconfirmed = Hashtbl.create 8;
-    r_ack_via = Hashtbl.create 8; r_deferred = deferred; r_delivered = 0 }
+let make_receiver ~deferred ~deliver =
+  { r_deliver = deliver; r_sender = -1; r_expected = 0; r_buffer = Sim.Int_tbl.create 8;
+    r_confirmed = 0; r_unconfirmed = Sim.Int_tbl.create 8; r_ack = ignore; r_deferred = deferred;
+    r_delivered = 0 }
 
-let receiver r_engine ~deliver =
-  make_receiver r_engine ~deferred:false ~deliver:(fun _ ~sender_id:_ ~seq:_ msg -> deliver msg)
+let receiver _engine ~deliver =
+  make_receiver ~deferred:false ~deliver:(fun _ ~seq:_ msg -> deliver msg)
 
-let deliver_deferred consumer recv ~sender_id ~seq msg =
+let deliver_deferred consumer recv ~seq msg =
   let confirm () =
-    if Hashtbl.mem recv.r_unconfirmed (sender_id, seq) then begin
-      Hashtbl.remove recv.r_unconfirmed (sender_id, seq);
-      let confirmed = Option.value ~default:0 (Hashtbl.find_opt recv.r_confirmed sender_id) in
-      Hashtbl.replace recv.r_confirmed sender_id (confirmed + 1);
-      match Hashtbl.find_opt recv.r_ack_via sender_id with
-      | Some send_ack -> send_ack confirmed
-      | None -> ()
+    if Sim.Int_tbl.mem recv.r_unconfirmed seq then begin
+      Sim.Int_tbl.remove recv.r_unconfirmed seq;
+      let confirmed = recv.r_confirmed in
+      recv.r_confirmed <- confirmed + 1;
+      recv.r_ack confirmed
     end
   in
-  Hashtbl.replace recv.r_unconfirmed (sender_id, seq) msg;
+  Sim.Int_tbl.replace recv.r_unconfirmed seq msg;
   consumer msg ~confirm
 
-let receiver_deferred r_engine ~deliver =
-  make_receiver r_engine ~deferred:true
-    ~deliver:(fun recv ~sender_id ~seq msg -> deliver_deferred deliver recv ~sender_id ~seq msg)
+let receiver_deferred _engine ~deliver =
+  make_receiver ~deferred:true ~deliver:(fun recv ~seq msg -> deliver_deferred deliver recv ~seq msg)
 
 let redeliver_unconfirmed recv ~deliver =
-  (* replay delivered-but-unconfirmed messages in sequence order per
-     sender: the consumer (a healed chain) may have lost them *)
+  (* replay delivered-but-unconfirmed messages in sequence order: the
+     consumer (a healed chain) may have lost them *)
   let sorted =
     List.sort
-      (fun ((s1, q1), _) ((s2, q2), _) ->
-        match Int.compare s1 s2 with 0 -> Int.compare q1 q2 | c -> c)
-      (Hashtbl.fold (fun k m acc -> (k, m) :: acc) recv.r_unconfirmed [])
+      (fun (q1, _) (q2, _) -> Int.compare q1 q2)
+      (Sim.Int_tbl.fold (fun seq m acc -> (seq, m) :: acc) recv.r_unconfirmed [])
   in
-  List.iter (fun ((sender_id, seq), msg) -> deliver_deferred deliver recv ~sender_id ~seq msg) sorted
+  List.iter (fun (seq, msg) -> deliver_deferred deliver recv ~seq msg) sorted
 
 let delivered r = r.r_delivered
 
-let receive recv ~sender_id ~seq msg ~send_ack =
-  Hashtbl.replace recv.r_ack_via sender_id send_ack;
-  let expected = Option.value ~default:0 (Hashtbl.find_opt recv.r_expected sender_id) in
-  if seq >= expected then Hashtbl.replace recv.r_buffer (sender_id, seq) msg;
-  (* drain the in-order prefix *)
-  let rec drain e =
-    match Hashtbl.find_opt recv.r_buffer (sender_id, e) with
-    | Some m ->
-      Hashtbl.remove recv.r_buffer (sender_id, e);
-      recv.r_delivered <- recv.r_delivered + 1;
-      recv.r_deliver recv ~sender_id ~seq:e m;
-      drain (e + 1)
-    | None -> e
-  in
-  let expected' = drain expected in
-  Hashtbl.replace recv.r_expected sender_id expected';
+let deliver_one recv seq msg =
+  recv.r_expected <- seq + 1;
+  recv.r_delivered <- recv.r_delivered + 1;
+  recv.r_deliver recv ~seq msg
+
+(* delivers whatever a gap was holding back *)
+let rec drain recv =
+  if Sim.Int_tbl.length recv.r_buffer > 0 then
+    match Sim.Int_tbl.find recv.r_buffer recv.r_expected with
+    | m ->
+      Sim.Int_tbl.remove recv.r_buffer recv.r_expected;
+      deliver_one recv recv.r_expected m;
+      drain recv
+    | exception Not_found -> ()
+
+let receive recv ~seq msg =
+  if seq = recv.r_expected then begin
+    (* the common case: in order, delivered directly *)
+    deliver_one recv seq msg;
+    drain recv
+  end
+  else if seq > recv.r_expected then Sim.Int_tbl.replace recv.r_buffer seq msg;
   if recv.r_deferred then begin
     (* ack only the confirmed prefix *)
-    let confirmed = Option.value ~default:0 (Hashtbl.find_opt recv.r_confirmed sender_id) in
-    if confirmed > 0 then send_ack (confirmed - 1)
+    if recv.r_confirmed > 0 then recv.r_ack (recv.r_confirmed - 1)
   end
   else
-    (* cumulative ack: everything below expected' has been delivered *)
-    send_ack (expected' - 1)
+    (* cumulative ack: everything below expected has been delivered *)
+    recv.r_ack (recv.r_expected - 1)
 
 let sender s_engine ~resend_period =
   (* engine-scoped, not process-global: the id reaches the probe stream
      via [Fifo_resend], and a global counter would make a second
      same-seed run in the same process digest differently *)
-  { s_engine; s_id = Sim.Engine.fresh_id s_engine; resend_period; next_seq = 0;
-    unacked = Queue.create (); route = None; stopped = false; timer_running = false }
+  { s_engine; s_id = Sim.Engine.fresh_id s_engine; resend_period; next_seq = 0; first = 0;
+    msgs = Array.make 16 None; sizes = Array.make 16 0; last_sent = Array.make 16 Sim.Time.zero;
+    route = None; stopped = false; timer_running = false }
 
-let unacked s = Queue.length s.unacked
+let unacked s = s.next_seq - s.first
 
-let transmit s route entry =
-  entry.last_sent <- Sim.Engine.now s.s_engine;
-  Sim.Link.send route.data ~size_bytes:entry.size (fun () ->
-      receive route.dest ~sender_id:s.s_id ~seq:entry.seq entry.msg ~send_ack:(fun acked ->
-          Sim.Link.send route.ack (fun () ->
-              (* cumulative ack + seq-ordered queue: drop the acked prefix *)
-              let rec drop () =
-                match Queue.peek_opt s.unacked with
-                | Some e when e.seq <= acked ->
-                  ignore (Queue.pop s.unacked);
-                  drop ()
-                | Some _ | None -> ()
-              in
-              drop ())))
+let transmit s route seq =
+  let i = seq land (Array.length s.msgs - 1) in
+  s.last_sent.(i) <- Sim.Engine.now s.s_engine;
+  match s.msgs.(i) with
+  | Some msg -> Sim.Link.send route.data ~size_bytes:s.sizes.(i) (fun () -> receive route.dest ~seq msg)
+  | None -> assert false (* every seq in the window holds its message *)
+
+(* cumulative ack: drop the acked prefix of the window *)
+let drop_acked s acked =
+  while s.first <= acked do
+    s.msgs.(s.first land (Array.length s.msgs - 1)) <- None;
+    s.first <- s.first + 1
+  done
+
+(* doubles the rings when the window fills them *)
+let grow s =
+  let cap = Array.length s.msgs in
+  if s.next_seq - s.first = cap then begin
+    let msgs = Array.make (2 * cap) None
+    and sizes = Array.make (2 * cap) 0
+    and last_sent = Array.make (2 * cap) Sim.Time.zero in
+    for seq = s.first to s.next_seq - 1 do
+      let i = seq land (cap - 1) and j = seq land ((2 * cap) - 1) in
+      msgs.(j) <- s.msgs.(i);
+      sizes.(j) <- s.sizes.(i);
+      last_sent.(j) <- s.last_sent.(i)
+    done;
+    s.msgs <- msgs;
+    s.sizes <- sizes;
+    s.last_sent <- last_sent
+  end
 
 let rec arm_timer s =
   if (not s.timer_running) && not s.stopped then begin
@@ -127,15 +150,15 @@ let rec arm_timer s =
           | Some route ->
             (* retransmit only entries that have been in flight for a full
                period — fresh entries are just waiting on the normal RTT *)
-            Queue.iter
-              (fun e ->
-                if Sim.Time.compare (Sim.Time.sub now e.last_sent) s.resend_period >= 0 then begin
-                  if Sim.Probe.active () then
-                    Sim.Probe.emit ~at:now (Sim.Probe.Fifo_resend { sender = s.s_id; seq = e.seq });
-                  transmit s route e
-                end)
-              s.unacked);
-          if not (Queue.is_empty s.unacked) then arm_timer s
+            for seq = s.first to s.next_seq - 1 do
+              let last_sent = s.last_sent.(seq land (Array.length s.msgs - 1)) in
+              if Sim.Time.compare (Sim.Time.sub now last_sent) s.resend_period >= 0 then begin
+                if Sim.Probe.active () then
+                  Sim.Probe.emit ~at:now (Sim.Probe.Fifo_resend { sender = s.s_id; seq });
+                transmit s route seq
+              end
+            done);
+          if unacked s > 0 then arm_timer s
         end)
   end
 
@@ -143,17 +166,25 @@ let send s ?(size_bytes = 0) msg =
   match s.route with
   | None -> invalid_arg "Reliable_fifo.send: not connected"
   | Some route ->
+    grow s;
     let seq = s.next_seq in
     s.next_seq <- seq + 1;
-    let entry = { seq; size = size_bytes; msg; last_sent = Sim.Engine.now s.s_engine } in
-    Queue.push entry s.unacked;
-    transmit s route entry;
+    let i = seq land (Array.length s.msgs - 1) in
+    s.msgs.(i) <- Some msg;
+    s.sizes.(i) <- size_bytes;
+    transmit s route seq;
     arm_timer s
 
 let connect s ~data ~ack dest =
-  s.route <- Some { data; ack; dest };
-  let route = { data; ack; dest } in
-  Queue.iter (transmit s route) s.unacked;
-  if not (Queue.is_empty s.unacked) then arm_timer s
+  if dest.r_sender >= 0 && dest.r_sender <> s.s_id then
+    invalid_arg "Reliable_fifo.connect: receiver already bound to another sender";
+  dest.r_sender <- s.s_id;
+  dest.r_ack <- (fun acked -> Sim.Link.send ack (fun () -> drop_acked s acked));
+  let route = { data; dest } in
+  s.route <- Some route;
+  for seq = s.first to s.next_seq - 1 do
+    transmit s route seq
+  done;
+  if unacked s > 0 then arm_timer s
 
 let stop s = s.stopped <- true

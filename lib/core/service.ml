@@ -48,7 +48,7 @@ let route t s msg =
       ~epoch:t.instance
   end;
   let tree = Config.tree t.config in
-  let local = List.filter (fun dc -> List.mem dc (Tree.dcs_at tree s)) msg.targets in
+  let local = List.filter (fun dc -> Tree.hop_toward tree ~at:s ~dc < 0) msg.targets in
   List.iter
     (fun dc ->
       let delta = Config.delay t.config ~from:s ~hop:(To_dc dc) in
@@ -78,8 +78,7 @@ let route t s msg =
     local;
   List.iter
     (fun b ->
-      let behind = Tree.dcs_behind tree ~from:s ~via:b in
-      let sub = List.filter (fun dc -> List.mem dc behind) msg.targets in
+      let sub = List.filter (fun dc -> Tree.hop_toward tree ~at:s ~dc = b) msg.targets in
       if sub <> [] then begin
         let delta = Config.delay t.config ~from:s ~hop:(To_serializer b) in
         if Sim.Probe.active () then begin

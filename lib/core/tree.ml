@@ -5,7 +5,7 @@ type t = {
   attach : int array;
   dcs_at : int list array;
   next : int array array; (* next.(a).(b) = neighbor of a toward b; -1 on diagonal *)
-  behind : (int * int, int list) Hashtbl.t; (* directed serializer edge -> dcs *)
+  toward : int array array; (* toward.(at).(dc) = neighbor of at toward dc; -1 if attached at at *)
 }
 
 let bfs_parents adj root =
@@ -58,22 +58,11 @@ let create ~n_serializers ~edges ~attach =
       if a <> dst then next.(a).(dst) <- parent.(a)
     done
   done;
-  let behind = Hashtbl.create 16 in
-  Array.iteri
-    (fun a neighbors ->
-      List.iter
-        (fun b ->
-          let dcs =
-            List.filter
-              (fun dc ->
-                let s = attach.(dc) in
-                s <> a && next.(a).(s) = b)
-              (List.init n_dcs Fun.id)
-          in
-          Hashtbl.replace behind (a, b) dcs)
-        neighbors)
-    adj;
-  { n; adj; edges; attach; dcs_at; next; behind }
+  let toward =
+    Array.init n (fun at ->
+        Array.map (fun s -> if s = at then -1 else next.(at).(s)) attach)
+  in
+  { n; adj; edges; attach; dcs_at; next; toward }
 
 let star ~n_dcs = create ~n_serializers:1 ~edges:[] ~attach:(Array.make n_dcs 0)
 let n_serializers t = t.n
@@ -92,14 +81,7 @@ let serializer_path t ~src_dc ~dst_dc =
   let rec walk s acc = if s = dst then List.rev (s :: acc) else walk t.next.(s).(dst) (s :: acc) in
   walk src []
 
-let dcs_behind t ~from ~via =
-  match Hashtbl.find_opt t.behind (from, via) with
-  | Some dcs -> dcs
-  | None -> invalid_arg "Tree.dcs_behind: not an edge"
-
-let routes_toward t ~at ~dc =
-  let s = t.attach.(dc) in
-  if s = at then None else Some t.next.(at).(s)
+let hop_toward t ~at ~dc = t.toward.(at).(dc)
 
 let pp ppf t =
   Format.fprintf ppf "tree(%d serializers; edges:" t.n;

@@ -6,10 +6,11 @@
     because every serializer relays in arrival order, each datacenter
     receives a causally consistent serialization.
 
-    The structure precomputes routing (next hops) and, for every directed
-    serializer edge, the set of datacenters on the far side — that is what
-    lets a serializer forward a label only toward interested datacenters,
-    giving genuine partial replication. *)
+    The structure precomputes routing: next hops between serializers and,
+    for every serializer and datacenter, the neighbor a label for that
+    datacenter leaves through — that is what lets a serializer forward a
+    label only toward interested datacenters, giving genuine partial
+    replication. *)
 
 type t
 
@@ -36,13 +37,9 @@ val serializer_path : t -> src_dc:int -> dst_dc:int -> int list
 (** Serializers traversed from [src_dc]'s attachment to [dst_dc]'s,
     inclusive. A single element when both attach to the same serializer. *)
 
-val dcs_behind : t -> from:int -> via:int -> int list
-(** Datacenters whose attachment lies on the [via] side of the directed
-    serializer edge [from → via]. Precomputed; O(1) lookup. *)
-
-val routes_toward : t -> at:int -> dc:int -> int option
-(** [routes_toward t ~at ~dc] is [Some next] when serializer [at] must
-    forward toward neighbor [next] to reach [dc], or [None] when [dc] is
-    attached locally. *)
+val hop_toward : t -> at:int -> dc:int -> int
+(** The neighbor serializer [at] forwards to on the way to datacenter [dc],
+    or [-1] when [dc] attaches to [at] itself. One array read: the
+    per-label routing test. *)
 
 val pp : Format.formatter -> t -> unit

@@ -7,7 +7,7 @@ type t = {
   mutable end_at : Sim.Time.t;
   visibility : Stats.Sample.t;
   extra : Stats.Sample.t;
-  pairs : (int * int, Stats.Sample.t) Hashtbl.t;
+  pairs : Stats.Sample.t array array; (* [origin].[dest] *)
   count : Stats.Registry.counter;
   mutable observers :
     (dc:int -> key:int -> origin_dc:int -> origin_time:Sim.Time.t -> value:Kvstore.Value.t -> unit) list;
@@ -24,7 +24,9 @@ let create ?(bulk_factor = 1.0) ?registry engine ~topo ~dc_sites =
     end_at = Sim.Time.infinity;
     visibility = Stats.Sample.create ();
     extra = Stats.Sample.create ();
-    pairs = Hashtbl.create 64;
+    pairs =
+      (let n = Array.length dc_sites in
+       Array.init n (fun _ -> Array.init n (fun _ -> Stats.Sample.create ())));
     count = Stats.Registry.counter registry "metrics.visible_in_window";
     observers = [];
   }
@@ -37,13 +39,7 @@ let in_window t =
   let now = Sim.Engine.now t.engine in
   Sim.Time.compare now t.start_at >= 0 && Sim.Time.compare now t.end_at <= 0
 
-let pair_visibility t ~origin ~dest =
-  match Hashtbl.find_opt t.pairs (origin, dest) with
-  | Some s -> s
-  | None ->
-    let s = Stats.Sample.create () in
-    Hashtbl.replace t.pairs (origin, dest) s;
-    s
+let pair_visibility t ~origin ~dest = t.pairs.(origin).(dest)
 
 let subscribe t f = t.observers <- f :: t.observers
 

@@ -7,22 +7,22 @@
     Cure vector, or nothing for the eventual baseline). Last-writer-wins on
     the metadata ordering supplied by the caller. *)
 
-type ('meta, 'k) t
+type 'meta t
 
-val create : unit -> ('meta, int) t
+val create : unit -> 'meta t
 
-val put : ('meta, int) t -> key:int -> Value.t -> 'meta -> unit
+val put : 'meta t -> key:int -> Value.t -> 'meta -> unit
 (** Unconditional write of a new latest version. *)
 
 val put_if_newer :
-  ('meta, int) t -> cmp:('meta -> 'meta -> int) -> key:int -> Value.t -> 'meta -> bool
+  'meta t -> cmp:('meta -> 'meta -> int) -> key:int -> Value.t -> 'meta -> bool
 (** Installs the version only if its metadata is strictly greater than the
     current one under [cmp] (or the key is absent). Returns whether the
     write was installed — the replica-side last-writer-wins rule. *)
 
-val get : ('meta, int) t -> key:int -> (Value.t * 'meta) option
-val mem : ('meta, int) t -> key:int -> bool
-val size : ('meta, int) t -> int
+val get : 'meta t -> key:int -> (Value.t * 'meta) option
+val mem : 'meta t -> key:int -> bool
+val size : 'meta t -> int
 
-val puts_applied : ('meta, int) t -> int
+val puts_applied : 'meta t -> int
 (** Number of versions ever installed (monotone counter). *)

@@ -12,7 +12,7 @@ let test_value () =
       ignore (Kvstore.Value.make ~payload:0 ~size_bytes:(-1)))
 
 let test_store_lww () =
-  let s : (int, int) Kvstore.Store.t = Kvstore.Store.create () in
+  let s : int Kvstore.Store.t = Kvstore.Store.create () in
   let v n = Kvstore.Value.make ~payload:n ~size_bytes:1 in
   Alcotest.(check bool) "install on empty" true
     (Kvstore.Store.put_if_newer s ~cmp:Int.compare ~key:1 (v 1) 10);

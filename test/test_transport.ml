@@ -97,6 +97,23 @@ let test_fifo_deferred_ack () =
   Sim.Engine.run e;
   Alcotest.(check int) "acked after confirm" 0 (Saturn.Reliable_fifo.unacked sender)
 
+let test_fifo_one_sender () =
+  (* a receiver serves the one sender that connected first; the same
+     sender may re-connect (re-targeting after a failure), another may not *)
+  let e = Sim.Engine.create () in
+  let received = ref [] in
+  let first, recv, data, ack = make_channel e received in
+  Saturn.Reliable_fifo.connect first ~data ~ack recv;
+  let second = Saturn.Reliable_fifo.sender e ~resend_period:(Sim.Time.of_ms 30) in
+  Alcotest.check_raises "second sender refused"
+    (Invalid_argument "Reliable_fifo.connect: receiver already bound to another sender") (fun () ->
+      Saturn.Reliable_fifo.connect second ~data ~ack recv);
+  Saturn.Reliable_fifo.send first 1;
+  Sim.Engine.run ~until:(Sim.Time.of_ms 100) e;
+  Saturn.Reliable_fifo.stop first;
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "the bound sender still delivers" [ 1 ] (List.rev !received)
+
 (* ---- chain replication ----------------------------------------------------- *)
 
 let make_chain ?(replicas = 3) e committed =
@@ -424,6 +441,7 @@ let suite =
     Alcotest.test_case "reliable fifo survives cuts" `Quick test_fifo_survives_cut;
     qtest prop_fifo_exactly_once_under_cuts;
     Alcotest.test_case "deferred acknowledgements" `Quick test_fifo_deferred_ack;
+    Alcotest.test_case "reliable fifo receiver has one sender" `Quick test_fifo_one_sender;
     Alcotest.test_case "chain commit order" `Quick test_chain_commit_order;
     Alcotest.test_case "chain confirms after commit" `Quick test_chain_confirm_after_commit;
     Alcotest.test_case "chain dedups retransmissions" `Quick test_chain_dedup;

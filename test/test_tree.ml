@@ -16,15 +16,19 @@ let test_tree_validation () =
   Alcotest.check_raises "self edge" (Invalid_argument "Tree.create: invalid edge") (fun () ->
       ignore (Saturn.Tree.create ~n_serializers:2 ~edges:[ (1, 1) ] ~attach:[| 0 |]))
 
+(* datacenters whose route from serializer [from] leaves through [via] *)
+let behind t ~from ~via =
+  List.filter (fun dc -> Saturn.Tree.hop_toward t ~at:from ~dc = via) (List.init (Saturn.Tree.n_dcs t) Fun.id)
+
 let test_tree_routing () =
   let t = chain_tree () in
   Alcotest.(check int) "next hop 0->2" 1 (Saturn.Tree.next_hop t ~src:0 ~dst:2);
   Alcotest.(check (list int)) "path dc0->dc3" [ 0; 1; 2 ] (Saturn.Tree.serializer_path t ~src_dc:0 ~dst_dc:3);
   Alcotest.(check (list int)) "path within serializer" [ 0 ] (Saturn.Tree.serializer_path t ~src_dc:0 ~dst_dc:1);
-  Alcotest.(check (list int)) "behind s0->s1" [ 2; 3 ] (Saturn.Tree.dcs_behind t ~from:0 ~via:1);
-  Alcotest.(check (list int)) "behind s1->s0" [ 0; 1 ] (Saturn.Tree.dcs_behind t ~from:1 ~via:0);
-  Alcotest.(check (option int)) "routes toward remote" (Some 1) (Saturn.Tree.routes_toward t ~at:0 ~dc:3);
-  Alcotest.(check (option int)) "local attachment" None (Saturn.Tree.routes_toward t ~at:0 ~dc:1)
+  Alcotest.(check (list int)) "behind s0->s1" [ 2; 3 ] (behind t ~from:0 ~via:1);
+  Alcotest.(check (list int)) "behind s1->s0" [ 0; 1 ] (behind t ~from:1 ~via:0);
+  Alcotest.(check int) "routes toward remote" 1 (Saturn.Tree.hop_toward t ~at:0 ~dc:3);
+  Alcotest.(check int) "local attachment" (-1) (Saturn.Tree.hop_toward t ~at:0 ~dc:1)
 
 let test_tree_star () =
   let t = Saturn.Tree.star ~n_dcs:5 in
@@ -43,13 +47,13 @@ let random_tree_gen =
 
 let arbitrary_tree = QCheck.make random_tree_gen
 
-let prop_dcs_behind_partition =
-  QCheck.Test.make ~name:"dcs_behind partitions the remote datacenters" ~count:100 arbitrary_tree
+let prop_hop_toward_partition =
+  QCheck.Test.make ~name:"hop_toward partitions the remote datacenters" ~count:100 arbitrary_tree
     (fun t ->
       let ok = ref true in
       for s = 0 to Saturn.Tree.n_serializers t - 1 do
         let local = Saturn.Tree.dcs_at t s in
-        let behind = List.concat_map (fun b -> Saturn.Tree.dcs_behind t ~from:s ~via:b) (Saturn.Tree.neighbors t s) in
+        let behind = List.concat_map (fun b -> behind t ~from:s ~via:b) (Saturn.Tree.neighbors t s) in
         let all = List.sort Int.compare (local @ behind) in
         if all <> List.init (Saturn.Tree.n_dcs t) Fun.id then ok := false
       done;
@@ -95,6 +99,10 @@ let test_config_latency () =
     (Sim.Time.to_us (Saturn.Config.metadata_latency config Sim.Ec2.topology ~src_dc:3 ~dst_dc:0));
   Alcotest.check_raises "negative delay" (Invalid_argument "Config.set_delay: negative delay")
     (fun () -> Saturn.Config.set_delay config ~from:0 ~hop:(Saturn.Config.To_serializer 1) (-1));
+  (* delays sit in a serializer x hop matrix: a hop past the tree must not
+     land in a neighbouring column *)
+  Alcotest.check_raises "hop out of range" (Invalid_argument "Config: hop out of range") (fun () ->
+      Saturn.Config.set_delay config ~from:0 ~hop:(Saturn.Config.To_serializer 3) (Sim.Time.of_ms 1));
   let copy = Saturn.Config.copy config in
   Saturn.Config.clear_delays copy;
   Alcotest.(check int) "copy cleared" 47_000
@@ -330,7 +338,7 @@ let suite =
     Alcotest.test_case "tree validation" `Quick test_tree_validation;
     Alcotest.test_case "tree routing" `Quick test_tree_routing;
     Alcotest.test_case "star tree" `Quick test_tree_star;
-    qtest prop_dcs_behind_partition;
+    qtest prop_hop_toward_partition;
     qtest prop_path_endpoints;
     Alcotest.test_case "config metadata latency" `Quick test_config_latency;
     Alcotest.test_case "solver beats exhaustive star placements" `Quick test_solver_three_dcs;
