@@ -4,7 +4,7 @@
    the simulator's per-event path (the engine's keyed event queue at the
    repo benchmark's depths and a link send+fire), and the remote label
    path: a label through a proxy, a chain commit and a reliable-channel
-   round trip. *)
+   round trip; and Algorithm 3's two scorers. *)
 
 open Bechamel
 open Toolkit
@@ -155,7 +155,47 @@ let test_fifo =
           Saturn.Reliable_fifo.send sender 0;
           Sim.Engine.run engine))
 
-let tests =
+(* Algorithm 3's two scorers on the paper's default 7-DC EC2 problem
+   (correlation weights from the default set-up's replica map, bulk = the
+   shortest path), over the configuration the generator picks for it: one
+   lower-bound score, as the placement search ranks every candidate site,
+   and one full delay solve. Solved on first use, so that the other
+   experiments never pay for it. *)
+let ec2_problem =
+  lazy
+    (let setup = Harness.Scenario.default_setup in
+     let rmap = Harness.Scenario.replica_map setup in
+     let dc_sites = Harness.Scenario.dc_sites setup in
+     let config =
+       Harness.Build.solve_config (Harness.Build.default_spec ~topo:Sim.Ec2.topology ~dc_sites ~rmap)
+     in
+     let bulk i j = Sim.Topology.latency Sim.Ec2.topology dc_sites.(i) dc_sites.(j) in
+     let problem =
+       {
+         Saturn.Config_solver.topo = Sim.Ec2.topology;
+         dc_sites;
+         candidates = Saturn.Config_solver.default_candidates ~dc_sites;
+         crit = Saturn.Mismatch.of_replica_map rmap ~bulk;
+       }
+     in
+     (problem, config))
+
+let test_lower_bound () =
+  let problem, config = Lazy.force ec2_problem in
+  let table = Saturn.Mismatch.table problem.Saturn.Config_solver.crit (Saturn.Config.tree config) in
+  let no_delays = Array.make (Saturn.Mismatch.n_hops table) 0 in
+  Test.make ~name:"Alg. 3 placement score (lower bound), 7-DC EC2"
+    (Staged.stage (fun () ->
+         ignore
+           (Saturn.Mismatch.late_score table Sim.Ec2.topology ~placement:(Saturn.Config.placement config)
+              ~dc_sites:problem.Saturn.Config_solver.dc_sites ~delays_us:no_delays)))
+
+let test_optimize_delays () =
+  let problem, config = Lazy.force ec2_problem in
+  Test.make ~name:"Alg. 3 delay solve (optimize_delays), 7-DC EC2"
+    (Staged.stage (fun () -> ignore (Saturn.Config_solver.optimize_delays problem config)))
+
+let tests () =
   [
     test_label_compare;
     test_vector_merge;
@@ -168,6 +208,8 @@ let tests =
     test_proxy_label;
     test_chain;
     test_fifo;
+    test_lower_bound ();
+    test_optimize_delays ();
   ]
 
 let run () =
@@ -190,5 +232,5 @@ let run () =
           in
           Stats.Table.add_row table [ name; ns ])
         (List.map (fun (k, v) -> (k, v)) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) (Benchmark.all cfg [ instance ] test) [])))
-    tests;
+    (tests ());
   Stats.Table.print table

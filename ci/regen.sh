@@ -7,6 +7,8 @@
 #   BENCH_engine.json       per-tier engine speed (saturn-bench-engine/1)
 #   BENCH_shootout.json     per-system visibility + metadata bytes/op
 #                           (saturn-bench-shootout/1)
+#   ci/alg3-plan.txt        Algorithm 3's chosen configurations and scores
+#                           on three EC2 problems (ci/alg3-plan.sh)
 #
 # Run this after any change that legitimately shifts the gated numbers
 # (new instrumentation, different event batching, a workload change) and
@@ -52,9 +54,11 @@ step BENCH_engine.json \
   dune exec bench/main.exe -- engine --out BENCH_engine.json
 step BENCH_shootout.json \
   dune exec bench/main.exe -- shootout --out BENCH_shootout.json > /dev/null
+step ci/alg3-plan.txt \
+  bash -c 'ci/alg3-plan.sh > ci/alg3-plan.txt'
 step ci/lint-waivers.txt \
   dune exec bin/saturn_lint.exe -- --root . --waivers-out ci/lint-waivers.txt lib bin > /dev/null
 
 echo
 echo "regenerated baselines:"
-git --no-pager diff --stat -- ci/smoke-counters.txt ci/lint-waivers.txt BENCH_smoke.json BENCH_engine.json BENCH_shootout.json
+git --no-pager diff --stat -- ci/smoke-counters.txt ci/lint-waivers.txt ci/alg3-plan.txt BENCH_smoke.json BENCH_engine.json BENCH_shootout.json

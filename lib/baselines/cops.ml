@@ -162,7 +162,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                  accounting, as everywhere) + 16 per (key, version) dep *)
               let size = value.Kvstore.Value.size_bytes + (16 * (1 + n_deps)) in
               let fanout = ref 0 in
-              List.iter
+              Kvstore.Replica_map.iter_replicas
                 (fun dst ->
                   if dst <> dc then begin
                     incr fanout;
@@ -176,7 +176,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                           ~cost_us:apply_cost (fun () ->
                             apply_remote t ~dc:dst { key; value; version; deps; origin_time }))
                   end)
-                (Kvstore.Replica_map.replicas (rmap t) ~key);
+                (rmap t) ~key;
               Stats.Meta_bytes.record_op t.meta_bytes ~bytes:(16 * n_deps) ~fanout:!fanout;
               (* transitivity-based pruning: sound only under full
                  replication *)

@@ -214,7 +214,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
               let origin_time = Sim.Engine.now (Common.engine t.geo) in
               let size = value.Kvstore.Value.size_bytes + vector_wire_bytes n in
               let fanout = ref 0 in
-              List.iter
+              Kvstore.Replica_map.iter_replicas
                 (fun dst ->
                   if dst <> dc then begin
                     incr fanout;
@@ -243,7 +243,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             end;
                             dd.pending <- { key; value; meta; origin_time } :: dd.pending))
                   end)
-                (Kvstore.Replica_map.replicas (rmap t) ~key);
+                (rmap t) ~key;
               Stats.Meta_bytes.record_op t.meta_bytes ~bytes:(vector_wire_bytes n) ~fanout:!fanout;
               reply meta)))
     ~k:(fun meta ->

@@ -227,7 +227,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                 (fun () -> ());
               let size = value.Kvstore.Value.size_bytes + meta_wire_bytes in
               let fanout = ref 0 in
-              List.iter
+              Kvstore.Replica_map.iter_replicas
                 (fun dst ->
                   if dst <> dc then begin
                     incr fanout;
@@ -258,7 +258,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                                a full period for the next one *)
                             advance t dst))
                   end)
-                (Kvstore.Replica_map.replicas (rmap t) ~key);
+                (rmap t) ~key;
               Stats.Meta_bytes.record_op t.meta_bytes ~bytes:meta_wire_bytes ~fanout:!fanout;
               reply ts)))
     ~k:(fun ts ->

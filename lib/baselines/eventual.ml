@@ -82,7 +82,7 @@ let update t ~client:_ ~home ~dc ~key ~value ~k =
                  causal metadata, so Meta_bytes records this op at 0 *)
               let size = value.Kvstore.Value.size_bytes + 16 in
               let fanout = ref 0 in
-              List.iter
+              Kvstore.Replica_map.iter_replicas
                 (fun dst ->
                   if dst <> dc then begin
                     incr fanout;
@@ -92,7 +92,7 @@ let update t ~client:_ ~home ~dc ~key ~value ~k =
                     Common.ship t.geo ~src:dc ~dst ~size_bytes:size (fun () ->
                         apply_remote t ~dc:dst ~key ~value ~meta ~origin_time)
                   end)
-                (Kvstore.Replica_map.replicas (rmap t) ~key);
+                (rmap t) ~key;
               Stats.Meta_bytes.record_op t.meta_bytes ~bytes:0 ~fanout:!fanout;
               reply ())))
     ~k

@@ -193,7 +193,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
               let origin_time = Sim.Engine.now (Common.engine t.geo) in
               let size = value.Kvstore.Value.size_bytes + meta_wire_bytes in
               let fanout = ref 0 in
-              List.iter
+              Kvstore.Replica_map.iter_replicas
                 (fun dst ->
                   if dst <> dc then begin
                     incr fanout;
@@ -222,7 +222,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             end;
                             Sim.Heap.push dd.pending { key; value; meta; origin_time }))
                   end)
-                (Kvstore.Replica_map.replicas (rmap t) ~key);
+                (rmap t) ~key;
               Stats.Meta_bytes.record_op t.meta_bytes ~bytes:meta_wire_bytes ~fanout:!fanout;
               reply ts)))
     ~k:(fun ts ->

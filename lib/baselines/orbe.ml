@@ -185,7 +185,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
               let causal_bytes = 16 + (12 * Dm.cardinal dm) in
               let size = value.Kvstore.Value.size_bytes + 16 + causal_bytes in
               let fanout = ref 0 in
-              List.iter
+              Kvstore.Replica_map.iter_replicas
                 (fun dst ->
                   if dst <> dc then begin
                     incr fanout;
@@ -200,7 +200,7 @@ let update t ~client ~home ~dc ~key ~value ~k =
                             apply_remote t ~dc:dst
                               { key; value; meta; dm; src_part = part; seq; origin_time }))
                   end)
-                (Kvstore.Replica_map.replicas (rmap t) ~key);
+                (rmap t) ~key;
               Stats.Meta_bytes.record_op t.meta_bytes ~bytes:causal_bytes ~fanout:!fanout;
               (* transitivity: the new version subsumes the whole context *)
               Hashtbl.replace t.contexts client (Dm.singleton (dc, part) seq);

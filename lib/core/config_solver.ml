@@ -17,126 +17,145 @@ let default_candidates ~dc_sites =
     dc_sites;
   Array.of_list (List.rev !out)
 
-(* A pair's metadata path, decomposed into its delayable hops. *)
-type pair = {
-  src : int;
-  dst : int;
-  weight : float;
-  beta_ms : float;
-  hops : (int * Config.hop) list; (* serializer hops carrying artificial delay *)
+(* physical-only latency of pair [p]'s path (no artificial delays), summed
+   in ms leg by leg from the datacenter's entry to its exit; [hop_ms] holds
+   each hop's physical latency under the placement *)
+let base_ms problem (tbl : Mismatch.table) ~hop_ms placement p =
+  let hops = tbl.hops.(p) in
+  let acc =
+    ref
+      (Sim.Time.to_ms_float
+         (Mismatch.entry_latency tbl problem.topo ~placement ~dc_sites:problem.dc_sites p))
+  in
+  for k = 0 to Array.length hops - 1 do
+    acc := !acc +. hop_ms.(hops.(k))
+  done;
+  !acc
+
+(* Per-table working space of the delay solve, reused across placements. *)
+type scratch = {
+  base : float array; (* pair -> base_ms under the current placement *)
+  lambda : float array; (* pair -> base plus its hops' δ, in ms *)
+  hop_ms : float array; (* hop -> physical latency in ms *)
+  delta : float array; (* hop -> δ in ms *)
+  delays_us : int array; (* hop -> δ rounded to µs *)
+  no_delays : int array; (* hop -> 0 *)
+  values : float array; (* weighted-median targets of one hop ... *)
+  weights : float array; (* ... and their weights *)
 }
 
-let pairs_of problem config =
-  let tree = Config.tree config in
-  let n = Array.length problem.dc_sites in
-  let out = ref [] in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if src <> dst then begin
-        let c = problem.crit.Mismatch.weight src dst in
-        if c > 0. then begin
-          let path = Tree.serializer_path tree ~src_dc:src ~dst_dc:dst in
-          let rec hops = function
-            | a :: (b :: _ as rest) -> (a, Config.To_serializer b) :: hops rest
-            | [ last ] -> [ (last, Config.To_dc dst) ]
-            | [] -> []
-          in
-          let beta_ms = Sim.Time.to_ms_float (problem.crit.Mismatch.bulk src dst) in
-          out := { src; dst; weight = c; beta_ms; hops = hops path } :: !out
-        end
-      end
-    done
+let scratch (tbl : Mismatch.table) =
+  let widest = Array.fold_left (fun acc c -> max acc (Array.length c)) 0 tbl.crossing in
+  let n_hops = Mismatch.n_hops tbl in
+  {
+    base = Array.make tbl.n_pairs 0.;
+    lambda = Array.make tbl.n_pairs 0.;
+    hop_ms = Array.make n_hops 0.;
+    delta = Array.make n_hops 0.;
+    delays_us = Array.make n_hops 0;
+    no_delays = Array.make n_hops 0;
+    values = Array.make widest 0.;
+    weights = Array.make widest 0.;
+  }
+
+(* Weighted median of the first [n] (value, weight) targets, weights > 0.
+   An insertion sort keeps equal values in their given order, as any
+   stable sort would. *)
+let weighted_median sc n =
+  let values = sc.values and weights = sc.weights in
+  for i = 1 to n - 1 do
+    let v = values.(i) and w = weights.(i) in
+    let j = ref i in
+    while !j > 0 && Float.compare values.(!j - 1) v > 0 do
+      values.(!j) <- values.(!j - 1);
+      weights.(!j) <- weights.(!j - 1);
+      decr j
+    done;
+    values.(!j) <- v;
+    weights.(!j) <- w
   done;
-  !out
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. weights.(i)
+  done;
+  let half = !total /. 2. in
+  let rec walk acc i =
+    if i = n then 0. else if acc +. weights.(i) >= half then values.(i) else walk (acc +. weights.(i)) (i + 1)
+  in
+  walk 0. 0
 
-let base_ms problem config pair =
-  (* physical-only latency of the pair's path (no artificial delays) *)
-  let tree = Config.tree config in
-  let path = Tree.serializer_path tree ~src_dc:pair.src ~dst_dc:pair.dst in
-  match path with
-  | [] -> assert false
-  | first :: _ ->
-    let lat a b = Sim.Time.to_ms_float (Sim.Topology.latency problem.topo a b) in
-    let place = Config.placement config in
-    let entry = lat problem.dc_sites.(pair.src) place.(first) in
-    let rec walk acc = function
-      | a :: (b :: _ as rest) -> walk (acc +. lat place.(a) place.(b)) rest
-      | [ last ] -> acc +. lat place.(last) problem.dc_sites.(pair.dst)
-      | [] -> acc
-    in
-    walk entry path
+(* λ of pair [p] in ms: its base plus its hops' δ, summed from zero in path
+   order *)
+let refresh_lambda (tbl : Mismatch.table) sc p =
+  let hops = tbl.hops.(p) in
+  let sum = ref 0. in
+  for k = 0 to Array.length hops - 1 do
+    sum := !sum +. sc.delta.(hops.(k))
+  done;
+  sc.lambda.(p) <- sc.base.(p) +. !sum
 
-let weighted_median targets =
-  (* targets: (value, weight) list, weight > 0; classic weighted median *)
-  let sorted = List.sort (fun (a, _) (b, _) -> Float.compare a b) targets in
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. sorted in
-  let rec walk acc = function
-    | [] -> 0.
-    | (v, w) :: rest -> if acc +. w >= total /. 2. then v else walk (acc +. w) rest
-  in
-  walk 0. sorted
+let delay_objective (tbl : Mismatch.table) sc =
+  let acc = ref 0. in
+  for p = tbl.n_pairs - 1 downto 0 do
+    acc := !acc +. (tbl.weight.(p) *. Float.abs (sc.lambda.(p) -. tbl.beta_ms.(p)))
+  done;
+  !acc
 
-let optimize_delays problem config =
-  let pairs = pairs_of problem config in
-  let bases = List.map (fun p -> (p, base_ms problem config p)) pairs in
-  (* delta table in float ms, keyed by hop *)
-  let deltas : (int * int, float) Hashtbl.t = Hashtbl.create 32 in
-  let encode (from, hop) =
-    (from, match hop with Config.To_serializer s -> s | Config.To_dc d -> -d - 1)
-  in
-  let delta h = Option.value ~default:0. (Hashtbl.find_opt deltas (encode h)) in
-  let lambda (p, base) = base +. List.fold_left (fun acc h -> acc +. delta h) 0. p.hops in
-  let objective () =
-    List.fold_left (fun acc pb -> acc +. ((fst pb).weight *. Float.abs (lambda pb -. (fst pb).beta_ms))) 0. bases
-  in
-  let all_hops =
-    let seen = Hashtbl.create 32 in
-    List.concat_map (fun p -> p.hops) pairs
-    |> List.filter (fun h ->
-           let k = encode h in
-           if Hashtbl.mem seen k then false
-           else begin
-             Hashtbl.add seen k ();
-             true
-           end)
-  in
-  let pass () =
-    List.iter
-      (fun hop ->
-        let key = encode hop in
-        let affected = List.filter (fun (p, _) -> List.exists (fun h -> encode h = key) p.hops) bases in
-        if affected <> [] then begin
-          let cur = delta hop in
-          let targets =
-            List.map
-              (fun ((p, _) as pb) ->
-                let rest = lambda pb -. cur in
-                (p.beta_ms -. rest, p.weight))
-              affected
-          in
-          let best = Float.max 0. (weighted_median targets) in
-          Hashtbl.replace deltas key best
-        end)
-      all_hops
-  in
-  let obj = ref (objective ()) in
+(* One round of exact coordinate descent: each hop in turn is set to the
+   weighted median of what its crossing pairs want, given every other δ. *)
+let delay_pass (tbl : Mismatch.table) sc =
+  for h = 0 to Array.length tbl.crossing - 1 do
+    let crossing = tbl.crossing.(h) in
+    let cur = sc.delta.(h) in
+    for i = 0 to Array.length crossing - 1 do
+      let p = crossing.(i) in
+      sc.values.(i) <- tbl.beta_ms.(p) -. (sc.lambda.(p) -. cur);
+      sc.weights.(i) <- tbl.weight.(p)
+    done;
+    let best = Float.max 0. (weighted_median sc (Array.length crossing)) in
+    if not (Float.equal best cur) then begin
+      sc.delta.(h) <- best;
+      Array.iter (refresh_lambda tbl sc) crossing
+    end
+  done
+
+(* Minimizes the objective over δ for the config's placement. Leaves δ in
+   [sc.delta] and its µs rounding in [sc.delays_us]; returns the config's
+   objective with the rounded delays, without installing them. *)
+let solve_delays problem (tbl : Mismatch.table) sc config =
+  let placement = Config.placement config in
+  for h = 0 to Array.length sc.hop_ms - 1 do
+    sc.hop_ms.(h) <-
+      Sim.Time.to_ms_float (Mismatch.hop_latency tbl problem.topo ~placement ~dc_sites:problem.dc_sites h)
+  done;
+  Array.fill sc.delta 0 (Array.length sc.delta) 0.;
+  for p = 0 to tbl.n_pairs - 1 do
+    sc.base.(p) <- base_ms problem tbl ~hop_ms:sc.hop_ms placement p;
+    refresh_lambda tbl sc p
+  done;
+  let obj = ref (delay_objective tbl sc) in
   let improved = ref true in
   let passes = ref 0 in
   while !improved && !passes < 50 do
     incr passes;
-    pass ();
-    let o = objective () in
+    delay_pass tbl sc;
+    let o = delay_objective tbl sc in
     improved := o < !obj -. 1e-9;
     obj := o
   done;
-  (* install the delays into the config *)
-  List.iter
-    (fun ((from, hop) as h) ->
-      Config.set_delay config ~from ~hop (Sim.Time.of_us (int_of_float (Float.round (delta h *. 1000.)))))
-    all_hops;
-  Mismatch.objective problem.crit config problem.topo
+  Array.iteri (fun h d -> sc.delays_us.(h) <- int_of_float (Float.round (d *. 1000.))) sc.delta;
+  Mismatch.score tbl problem.topo ~placement ~dc_sites:(Config.dc_sites config) ~delays_us:sc.delays_us
 
-let score_placement_fast problem config = Mismatch.lower_bound problem.crit config problem.topo
+let optimize_delays_with problem (tbl : Mismatch.table) sc config =
+  let score = solve_delays problem tbl sc config in
+  Array.iteri
+    (fun h us -> Config.set_delay config ~from:tbl.hop_from.(h) ~hop:tbl.hop_to.(h) (Sim.Time.of_us us))
+    sc.delays_us;
+  score
+
+let optimize_delays problem config =
+  let tbl = Mismatch.table problem.crit (Config.tree config) in
+  optimize_delays_with problem tbl (scratch tbl) config
 
 let initial_placement problem tree ~variant rng =
   let n = Tree.n_serializers tree in
@@ -190,20 +209,24 @@ let placement_descent problem config ~score =
   !best
 
 let optimize_placement ?(fast = false) ?(restarts = 3) ~rng problem tree =
+  let tbl = Mismatch.table problem.crit tree in
+  let sc = scratch tbl in
   let run variant =
     let placement = initial_placement problem tree ~variant rng in
     let config = Config.create ~tree ~placement ~dc_sites:(Array.copy problem.dc_sites) () in
-    let _ = placement_descent problem config ~score:(score_placement_fast problem) in
+    (* the config carries no delays until [optimize_delays_with] installs
+       them at the end of the run *)
+    let lower_bound c =
+      Mismatch.late_score tbl problem.topo ~placement:(Config.placement c) ~dc_sites:(Config.dc_sites c)
+        ~delays_us:sc.no_delays
+    in
+    let _ = placement_descent problem config ~score:lower_bound in
     if not fast then begin
       (* refine: one descent round scoring with full delay optimization *)
-      let full_score c =
-        let c' = Config.copy c in
-        optimize_delays problem c'
-      in
-      let _ = placement_descent problem config ~score:full_score in
+      let _ = placement_descent problem config ~score:(solve_delays problem tbl sc) in
       ()
     end;
-    let obj = optimize_delays problem config in
+    let obj = optimize_delays_with problem tbl sc config in
     (config, obj)
   in
   let best = ref (run 0) in
@@ -227,6 +250,8 @@ let solve_exact ?(max_enum = 200_000) problem tree =
   if total > max_enum then
     invalid_arg
       (Printf.sprintf "Config_solver.solve_exact: %d placements exceed max_enum=%d" total max_enum);
+  let tbl = Mismatch.table problem.crit tree in
+  let sc = scratch tbl in
   let best = ref None in
   let placement = Array.make n problem.candidates.(0) in
   let rec enumerate s =
@@ -234,7 +259,7 @@ let solve_exact ?(max_enum = 200_000) problem tree =
       let config =
         Config.create ~tree ~placement:(Array.copy placement) ~dc_sites:(Array.copy problem.dc_sites) ()
       in
-      let score = optimize_delays problem config in
+      let score = optimize_delays_with problem tbl sc config in
       match !best with
       | Some (_, b) when b <= score -> ()
       | Some _ | None -> best := Some (config, score)

@@ -30,7 +30,9 @@ val optimize_placement :
 (** Full solve for one tree shape. [fast] ranks candidate placements with
     the cheap lower bound (used while enumerating many trees); the returned
     config always has fully optimized delays and the returned float is the
-    true objective. Default [restarts] is 3. *)
+    true objective. Default [restarts] is 3. The tree's pairs are resolved
+    once ({!Mismatch.table}) and every placement tried is scored from that
+    table. *)
 
 val solve : ?restarts:int -> seed:int -> problem -> Tree.t -> Config.t * float
 (** Convenience wrapper: deterministic full solve. *)

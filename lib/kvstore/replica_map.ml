@@ -30,6 +30,7 @@ let create ~n_dcs ~n_keys ~assign =
 let n_dcs t = t.n_dcs
 let n_keys t = t.n_keys
 let replicas t ~key = Array.to_list t.by_key.(key)
+let iter_replicas f t ~key = Array.iter f t.by_key.(key)
 
 let replicates t ~dc ~key =
   let b = t.member.(dc) in

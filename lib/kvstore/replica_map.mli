@@ -19,6 +19,10 @@ val n_keys : t -> int
 val replicas : t -> key:int -> int list
 (** Sorted, duplicate-free. *)
 
+val iter_replicas : (int -> unit) -> t -> key:int -> unit
+(** [iter_replicas f t ~key] applies [f] to {!replicas} in the same order,
+    without building the list: the per-update ship loops call it. *)
+
 val replicates : t -> dc:int -> key:int -> bool
 
 val local_keys : t -> dc:int -> int list

@@ -85,7 +85,11 @@ let prop_replica_map_consistency =
           if Kvstore.Replica_map.replicates rm ~dc ~key <> List.mem dc reps then ok := false
         done;
         (* sorted and duplicate-free *)
-        if List.sort_uniq Int.compare reps <> reps then ok := false
+        if List.sort_uniq Int.compare reps <> reps then ok := false;
+        (* the list-free walk visits the same datacenters in the same order *)
+        let seen = ref [] in
+        Kvstore.Replica_map.iter_replicas (fun dc -> seen := dc :: !seen) rm ~key;
+        if List.rev !seen <> reps then ok := false
       done;
       !ok)
 

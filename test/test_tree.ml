@@ -172,6 +172,165 @@ let test_mismatch_lower_bound () =
   let obj = Saturn.Mismatch.objective crit config Sim.Ec2.topology in
   Alcotest.(check bool) "lower bound is a lower bound" true (lb <= obj +. 1e-9)
 
+(* ---- Pair-table solver vs the list-based reference ------------------------ *)
+
+(* A random Algorithm 3 problem on 3-7 EC2 sites: replica sets drawn per
+   key (so some pairs share nothing and weigh 0), a bulk-path inflation
+   that makes nonzero δ worth adding, one random tree over the sites with
+   a random placement, and a seed for the solver's random restarts. *)
+type solver_case = {
+  sites : Sim.Topology.site array;
+  replica_sets : int list array;
+  bulk_factor : float;
+  insert_at : int list;  (** edge choice for each leaf after the first two *)
+  placement : int list;  (** candidate index per serializer *)
+  seed : int;
+}
+
+let gen_solver_case =
+  QCheck.Gen.(
+    let* n = 3 -- 7 in
+    let* order = shuffle_l (Sim.Ec2.first_n 7) in
+    let sites = Array.of_list (List.filteri (fun i _ -> i < n) order) in
+    let* n_keys = 1 -- 12 in
+    let* masks = list_repeat n_keys (1 -- ((1 lsl n) - 1)) in
+    let replica_sets =
+      Array.of_list
+        (List.map (fun m -> List.filter (fun dc -> m land (1 lsl dc) <> 0) (List.init n Fun.id)) masks)
+    in
+    (* EC2 latencies are whole milliseconds, so under the first four
+       factors every λ and β is a multiple of 0.5 ms and float sums come out
+       exact in any order; the last two make β inexact in binary, so the
+       order of the scorers' sums shows in their bits *)
+    let* bulk_factor = oneofl [ 0.5; 1.0; 1.5; 2.0; 1.13; 0.77 ] in
+    let* insert_at = list_repeat (n - 2) (int_bound 1000) in
+    let* placement = list_repeat (n - 1) (int_bound 1000) in
+    let* seed = int_bound 100_000 in
+    return { sites; replica_sets; bulk_factor; insert_at; placement; seed })
+
+let print_solver_case c =
+  Printf.sprintf "sites=[%s] replicas=[%s] bulk_factor=%g insert_at=[%s] placement=[%s] seed=%d"
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.sites)))
+    (String.concat " "
+       (Array.to_list
+          (Array.map (fun dcs -> "{" ^ String.concat "," (List.map string_of_int dcs) ^ "}") c.replica_sets)))
+    c.bulk_factor
+    (String.concat ";" (List.map string_of_int c.insert_at))
+    (String.concat ";" (List.map string_of_int c.placement))
+    c.seed
+
+let case_problem c =
+  let n = Array.length c.sites in
+  let rmap =
+    Kvstore.Replica_map.create ~n_dcs:n ~n_keys:(Array.length c.replica_sets) ~assign:(fun k ->
+        c.replica_sets.(k))
+  in
+  (* the bulk path as the harness inflates it *)
+  let bulk i j =
+    let lat = Sim.Topology.latency Sim.Ec2.topology c.sites.(i) c.sites.(j) in
+    Sim.Time.of_us (int_of_float (float_of_int (Sim.Time.to_us lat) *. c.bulk_factor))
+  in
+  {
+    Saturn.Config_solver.topo = Sim.Ec2.topology;
+    dc_sites = c.sites;
+    candidates = Saturn.Config_solver.default_candidates ~dc_sites:c.sites;
+    crit = Saturn.Mismatch.of_replica_map rmap ~bulk;
+  }
+
+let case_tree c =
+  let bt =
+    List.fold_left
+      (fun (bt, dc) pick ->
+        let options = Saturn.Config_gen.insertions bt ~dc in
+        (List.nth options (pick mod List.length options), dc + 1))
+      (Saturn.Config_gen.Node (Leaf 0, Leaf 1), 2)
+      c.insert_at
+  in
+  Saturn.Config_gen.to_tree (fst bt) ~n_dcs:(Array.length c.sites)
+
+(* everything a config decides: tree shape, placement, every hop's delay *)
+let config_repr config =
+  let tree = Saturn.Config.tree config in
+  let b = Buffer.create 128 in
+  Buffer.add_string b (Format.asprintf "%a" Saturn.Config.pp config);
+  let n_ser = Saturn.Tree.n_serializers tree in
+  let hops =
+    List.init n_ser (fun s -> Saturn.Config.To_serializer s)
+    @ List.init (Saturn.Tree.n_dcs tree) (fun d -> Saturn.Config.To_dc d)
+  in
+  for from = 0 to n_ser - 1 do
+    List.iter
+      (fun hop ->
+        let d = Sim.Time.to_us (Saturn.Config.delay config ~from ~hop) in
+        if d <> 0 then Printf.bprintf b " δ%d:%d" from d)
+      hops
+  done;
+  Buffer.contents b
+
+let same_float what a b =
+  if Int64.bits_of_float a <> Int64.bits_of_float b then
+    QCheck.Test.fail_reportf "%s: %h, reference %h" what a b
+
+let same_config what a b =
+  let a = config_repr a and b = config_repr b in
+  if a <> b then QCheck.Test.fail_reportf "%s:\n%s\nreference:\n%s" what a b
+
+let prop_solver_matches_reference =
+  QCheck.Test.make ~name:"pair-table solver matches the list-based reference" ~count:200
+    (QCheck.make ~print:print_solver_case gen_solver_case)
+    (fun c ->
+      let problem = case_problem c in
+      let tree = case_tree c in
+      let fresh () =
+        let candidates = problem.Saturn.Config_solver.candidates in
+        let placement =
+          Array.of_list (List.map (fun i -> candidates.(i mod Array.length candidates)) c.placement)
+        in
+        Saturn.Config.create ~tree ~placement ~dc_sites:(Array.copy c.sites) ()
+      in
+      (* one placement: the delay solve, then both scorers over its δ *)
+      let mine = fresh () and theirs = fresh () in
+      same_float "optimize_delays score"
+        (Saturn.Config_solver.optimize_delays problem mine)
+        (Config_solver_ref.optimize_delays problem theirs);
+      same_config "optimize_delays" mine theirs;
+      let crit = problem.Saturn.Config_solver.crit in
+      same_float "objective" (Saturn.Mismatch.objective crit mine Sim.Ec2.topology)
+        (Config_solver_ref.Mismatch.objective crit theirs Sim.Ec2.topology);
+      same_float "lower_bound" (Saturn.Mismatch.lower_bound crit mine Sim.Ec2.topology)
+        (Config_solver_ref.Mismatch.lower_bound crit theirs Sim.Ec2.topology);
+      (* one tree: placement search, fast and full, from equal seeds *)
+      List.iter
+        (fun fast ->
+          let rng = Sim.Rng.create ~seed:c.seed and rng' = Sim.Rng.create ~seed:c.seed in
+          let mine, score = Saturn.Config_solver.optimize_placement ~fast ~rng problem tree in
+          let theirs, score' = Config_solver_ref.optimize_placement ~fast ~rng:rng' problem tree in
+          same_float (Printf.sprintf "optimize_placement ~fast:%b score" fast) score score';
+          same_config (Printf.sprintf "optimize_placement ~fast:%b" fast) mine theirs;
+          if Sim.Rng.int rng 1_000_000 <> Sim.Rng.int rng' 1_000_000 then
+            QCheck.Test.fail_reportf "optimize_placement ~fast:%b drew a different random sequence" fast)
+        [ true; false ];
+      if Array.length c.sites <= 4 then begin
+        let mine, score = Saturn.Config_solver.solve_exact problem tree in
+        let theirs, score' = Config_solver_ref.solve_exact problem tree in
+        same_float "solve_exact score" score score';
+        same_config "solve_exact" mine theirs
+      end;
+      (* Algorithm 3 end to end, with its two runners-up; a pool of 3 trees
+         per round keeps 200 cases quick and still ranks, filters, solves
+         and fuses several trees per case *)
+      let mine = Saturn.Config_gen.find_configurations ~pool:3 ~seed:c.seed ~top:3 problem in
+      let theirs = Config_solver_ref.find_configurations ~pool:3 ~seed:c.seed ~top:3 problem in
+      if List.length mine <> List.length theirs then
+        QCheck.Test.fail_reportf "find_configurations: %d configurations, reference %d"
+          (List.length mine) (List.length theirs);
+      List.iteri
+        (fun i ((a, sa), (b, sb)) ->
+          same_float (Printf.sprintf "find_configurations #%d score" i) sa sb;
+          same_config (Printf.sprintf "find_configurations #%d" i) a b)
+        (List.combine mine theirs);
+      true)
+
 (* ---- Config generator ------------------------------------------------------ *)
 
 let test_insertions_count () =
@@ -344,6 +503,7 @@ let suite =
     Alcotest.test_case "solver beats exhaustive star placements" `Quick test_solver_three_dcs;
     Alcotest.test_case "delay optimization never hurts" `Quick test_optimize_delays_improves;
     Alcotest.test_case "mismatch lower bound" `Quick test_mismatch_lower_bound;
+    qtest prop_solver_matches_reference;
     Alcotest.test_case "Alg 3 insertion enumeration (2f-1)" `Quick test_insertions_count;
     Alcotest.test_case "binary-tree node counting" `Quick test_count_nodes;
     Alcotest.test_case "binary tree to serializer tree" `Quick test_to_tree;
